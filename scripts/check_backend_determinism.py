@@ -51,9 +51,7 @@ PARALLEL_FACTORIES = {
     "threaded": lambda: ThreadedBackend(
         2, min_rows=64, min_assign_rows=64, min_candidates=4
     ),
-    "process": lambda: ProcessBackend(
-        2, min_rows=64, min_assign_rows=64, min_shm_bytes=1
-    ),
+    "process": lambda: ProcessBackend(2, min_rows=64, min_shm_bytes=1),
 }
 
 

@@ -5,7 +5,7 @@ path) shows all of their distance work funnels through a handful of
 primitives: filling a distance buffer from one query point, masked
 argmin/argmax selection over that buffer, the k-th-smallest bound behind
 stable k-nearest prefixes, scoring a block of swap candidates against an
-EMD tracker, and the batch nearest-representative scan.
+EMD tracker, and the batch nearest-representative query.
 :class:`ComputeBackend` names exactly those primitives; everything above
 it — :class:`~repro.microagg.engine.ClusteringEngine`, the algorithms,
 :class:`~repro.core.model.Anonymizer` — is backend-agnostic, so a new
@@ -44,7 +44,13 @@ import os
 import numpy as np
 
 from ..registry import BACKENDS
-from .kernels import iter_blocks, nearest_block, sq_distances_block
+from .kernels import (
+    NearestIndex,
+    build_nearest_index,
+    iter_blocks,
+    nearest_block,
+    sq_distances_block,
+)
 
 #: Environment variable naming the default backend (see resolve_backend).
 BACKEND_ENV = "REPRO_BACKEND"
@@ -169,32 +175,35 @@ class ComputeBackend:
 
     # -- serving: nearest fitted representative --------------------------------
 
-    def assign_nearest(self, X: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    def assign_nearest(
+        self, X: np.ndarray, reps: "NearestIndex | np.ndarray"
+    ) -> np.ndarray:
         """Nearest representative (by canonical squared distance) per row.
 
-        Exact ties resolve to the lowest representative index.  Contract:
-        per-row results equal :func:`~repro.backend.kernels.nearest_block`
-        over any row blocking (each row's scan is independent).  Input
+        ``reps`` is a :class:`~repro.backend.kernels.NearestIndex` — built
+        once per fitted model, which is how serving calls this — or a raw
+        ``(R, d)`` matrix, indexed for this call only.  Exact ties resolve
+        to the lowest representative index.  Contract: per-row results
+        equal :func:`~repro.backend.kernels.nearest_block` over any row
+        blocking (each row's query is independent).  Input
         coercion/validation lives here once; backends override the
         :meth:`_assign_nearest` execution body only.
         """
+        index = reps if isinstance(reps, NearestIndex) else build_nearest_index(reps)
         X = np.asarray(X, dtype=np.float64)
-        reps = np.ascontiguousarray(reps, dtype=np.float64)
-        if X.ndim != 2 or reps.ndim != 2 or X.shape[1] != reps.shape[1]:
+        if X.ndim != 2 or X.shape[1] != index.shape[1]:
             raise ValueError(
                 f"X and reps must be 2-D with equal widths, got "
-                f"{X.shape} and {reps.shape}"
+                f"{X.shape} and {index.shape}"
             )
-        if reps.shape[0] == 0:
-            raise ValueError("reps must hold at least one representative")
         assignment = np.zeros(X.shape[0], dtype=np.int64)
         if X.shape[0] == 0 or X.shape[1] == 0:
             return assignment
-        self._assign_nearest(X, reps, assignment)
+        self._assign_nearest(X, index, assignment)
         return assignment
 
     def _assign_nearest(
-        self, X: np.ndarray, reps: np.ndarray, assignment: np.ndarray
+        self, X: np.ndarray, index: NearestIndex, assignment: np.ndarray
     ) -> None:
         """Execution body of :meth:`assign_nearest` (inputs pre-validated,
         non-degenerate); fills ``assignment`` in place."""
@@ -202,7 +211,7 @@ class ComputeBackend:
         best_d2 = np.full(n, np.inf)
         d2 = np.empty(n)
         tmp = np.empty(n)
-        nearest_block(X.T, reps, assignment, best_d2, d2, tmp, 0, n)
+        nearest_block(X.T, index, assignment, best_d2, d2, tmp, 0, n)
 
     # -- cosmetics -------------------------------------------------------------
 

@@ -24,16 +24,42 @@ particular numpy build would have.  The golden fixtures were generated on
 this kernel (see ``scripts/generate_engine_golden.py``), so everything
 downstream is pinned to it.
 
+Nearest-representative queries go through a :class:`NearestIndex`, a
+static kd-tree over the representative matrix built once per fitted
+model (:class:`repro.serving.TransformModel` owns one).  It is plain
+arrays: the representatives permuted into leaf order and stored
+column-major, their original ids, and every node's bounding box in heap
+order (node ``i`` has children ``2i+1`` and ``2i+2``).  The query is
+exact, not approximate:
+
+* a leaf is scanned with the canonical arithmetic above, so every
+  distance it produces is bitwise the numpy kernel's;
+* a node's lower bound squares the per-column gap from the query to the
+  node's box and sums the squares in the same column order.  A point
+  inside the box is at least that gap away in every column, and IEEE
+  subtraction, multiplication and addition all round monotonically, so
+  the rounded bound never exceeds the rounded canonical distance to any
+  representative inside the box;
+* a node is pruned only when its bound is *strictly* greater than the
+  running best, and candidates compare as ``(distance, id)`` pairs, so
+  an exact tie still resolves to the lowest representative id.
+
+Whether to split at all is decided from the matrix's shape alone
+(:func:`split_depth`): where a tree cannot prune — few representatives,
+or so many columns that every box reaches every query — the index is a
+single leaf, and the query is the brute scan.
+
 This module deliberately imports nothing from the rest of the library
 (the distance layer and the compute backends both sit on top of it) —
 the one exception is its private sibling :mod:`repro.backend._native`,
-an optional compiled build of the nearest-representative scan that is
-admitted only after a load-time differential self-check proves it
-bitwise equal to the numpy arithmetic defined here.
+the compiled kd query, which is admitted only after a load-time
+differential self-check proves it bitwise equal to the numpy arithmetic
+defined here.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -90,9 +116,140 @@ def sq_distances_block(
         out[seg] += tmp[seg]
 
 
+#: Representatives per leaf that the split rule aims for.
+LEAF_SIZE = 32
+
+
+def split_depth(n_reps: int, width: int) -> int:
+    """Depth of the kd-tree :func:`build_nearest_index` builds.
+
+    A split tree halves its nodes down to leaves of ``LEAF_SIZE / 2`` to
+    ``LEAF_SIZE`` representatives.  It is kept only when it is at least
+    as deep as the matrix is wide, so that a root-to-leaf path can cut
+    every column once; a shallower tree leaves boxes that span whole
+    columns, which prune little and cost a bound per node.  Otherwise the
+    depth is zero: one leaf, the brute scan.
+
+    Set from a measured grid (per-row query cost, one leaf over the full
+    tree, widths {1, 2, 4, 8, 12, 16} x {40, 400, 5000} representatives,
+    lognormal and uniform tables; ``benchmarks/README.md``,
+    ``benchmarks/bench_nearest_index_grid.py``): every split cell won, by
+    1.16x to 30x, and every unsplit cell lost (down to 0.49x) or won at
+    most 1.13x.
+    """
+    if width == 0 or n_reps <= LEAF_SIZE:
+        return 0
+    depth = int(np.ceil(np.log2(n_reps / LEAF_SIZE)))
+    return depth if depth >= width else 0
+
+
+@dataclass(frozen=True, eq=False)
+class NearestIndex:
+    """A static kd-tree over a representative matrix: plain arrays only.
+
+    Built by :func:`build_nearest_index`; immutable, holds no C pointer
+    and is safe to share between threads and forked processes.
+
+    Attributes
+    ----------
+    reps:
+        ``(R, d)`` representatives in id order (what the numpy spec,
+        :func:`_nearest_block_numpy`, scans).
+    repcols:
+        ``(d, R)`` representatives permuted into leaf order, one column
+        per row, so a leaf's column ``j`` is one contiguous run.
+    ids:
+        ``(R,)`` original id of each permuted representative.
+    lo, hi:
+        ``(n_nodes, d)`` bounding box of every node, heap order: node
+        ``i``'s children are ``2i+1`` and ``2i+2``; the last
+        ``n_nodes // 2 + 1`` nodes are the leaves.
+    leaf_bounds:
+        ``(n_leaves + 1,)``: leaf ``k`` holds the permuted
+        representatives ``leaf_bounds[k]:leaf_bounds[k + 1]``.
+    """
+
+    reps: np.ndarray
+    repcols: np.ndarray
+    ids: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    leaf_bounds: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """``(R, d)`` of the indexed representative matrix."""
+        return self.reps.shape
+
+    @property
+    def depth(self) -> int:
+        """Tree depth (0: a single leaf, i.e. the brute scan)."""
+        return (len(self.leaf_bounds) - 1).bit_length() - 1
+
+
+def build_nearest_index(reps: np.ndarray) -> NearestIndex:
+    """Index ``reps`` (2-D, at least one row) at the depth
+    :func:`split_depth` picks."""
+    reps = np.ascontiguousarray(reps, dtype=np.float64)
+    if reps.ndim != 2:
+        raise ValueError(f"reps must be 2-D, got shape {reps.shape}")
+    if reps.shape[0] == 0:
+        raise ValueError("reps must hold at least one representative")
+    return _build_tree(reps, split_depth(*reps.shape))
+
+
+def _build_tree(reps: np.ndarray, depth: int) -> NearestIndex:
+    """A complete kd-tree of ``depth`` levels below the root.
+
+    Every node splits at the count median of its widest column, so the
+    sizes on one level differ by at most one and every leaf is non-empty
+    while ``2**depth <= R``.  Built level by level with one sort per
+    level.  Only the query's speed depends on how the points are split:
+    each box is recomputed from the points that land in it, so any split
+    gives exact answers.  The differential tests and the load-time
+    self-check call this directly to force tree shapes the split rule
+    would not pick.
+    """
+    n = reps.shape[0]
+    if 2**depth > n:
+        raise ValueError(f"depth {depth} leaves empty leaves for {n} representatives")
+    perm = np.arange(n)
+    starts = np.zeros(1, dtype=np.int64)
+    sizes = np.array([n], dtype=np.int64)
+    los, his = [], []
+    for level in range(depth + 1):
+        pts = np.take(reps, perm, axis=0)
+        los.append(np.minimum.reduceat(pts, starts, axis=0))
+        his.append(np.maximum.reduceat(pts, starts, axis=0))
+        if level == depth:
+            break
+        # Sort key: the node number plus the point's position in
+        # [0, 0.5] along its node's widest column, so one sort orders
+        # every node's points without mixing nodes.
+        nodes = np.arange(len(starts))
+        column = np.argmax(his[-1] - los[-1], axis=1)
+        low = los[-1][nodes, column]
+        spread = his[-1][nodes, column] - low
+        spread[spread == 0] = 1.0
+        node_of = np.repeat(nodes, sizes)
+        offset = pts[np.arange(n), column[node_of]] - low[node_of]
+        perm = perm[np.argsort(node_of + 0.5 * (offset / spread[node_of]))]
+        half = sizes // 2
+        starts = np.column_stack([starts, starts + half]).ravel()
+        sizes = np.column_stack([half, sizes - half]).ravel()
+    return NearestIndex(
+        reps=reps,
+        repcols=np.ascontiguousarray(np.take(reps, perm, axis=0).T),
+        ids=perm.astype(np.int64),
+        lo=np.concatenate(los),
+        hi=np.concatenate(his),
+        leaf_bounds=np.append(starts, n).astype(np.int64),
+    )
+
+
 def nearest_block(
     cols: np.ndarray,
-    reps: np.ndarray,
+    index: NearestIndex,
     assignment: np.ndarray,
     best_d2: np.ndarray,
     d2: np.ndarray,
@@ -100,29 +257,26 @@ def nearest_block(
     start: int,
     stop: int,
 ) -> None:
-    """Nearest-representative scan for the record rows ``start:stop``.
+    """Nearest-representative query for the record rows ``start:stop``.
 
-    For each representative (in ascending id order) the canonical kernel
-    evaluates its distances to the block rows, and a strictly-smaller
-    update keeps the running best — so exact distance ties resolve to the
-    *lowest* representative id, exactly like the per-representative loop
-    this replaced (``d2 < best_d2`` per row, representative by
-    representative).  ``assignment``/``best_d2`` are the full-length
-    output arrays; only their ``start:stop`` rows are touched, so row
-    blocks can be evaluated in any order or in parallel.
+    ``assignment``/``best_d2`` are the full-length running best id and
+    squared distance; only their ``start:stop`` rows are touched, so row
+    blocks can be evaluated in any order or in parallel.  A row's result
+    is the lowest id among the representatives at the smallest canonical
+    distance, or its running entry when none is strictly closer.
 
-    When a host C compiler is available the scan dispatches to the
-    compiled body in :mod:`repro.backend._native`, which performs the
-    identical column-sequential accumulation without per-column array
-    temporaries.  It is built with FP contraction disabled, so its
-    distances — and therefore assignments, tie resolution included — are
-    bitwise equal to this numpy path (a load-time self-check enforces
-    that before the fast path is ever used; set ``REPRO_NO_NATIVE=1`` to
-    pin the numpy path).
+    When a host C compiler is available the query runs the compiled kd
+    search in :mod:`repro.backend._native`, which prunes with the index's
+    boxes and scans leaves with the canonical arithmetic (see the module
+    docstring for why that is exact).  Otherwise — or with
+    ``REPRO_NO_NATIVE=1``, or output buffers the C signature does not
+    take — the numpy spec :func:`_nearest_block_numpy` scans
+    ``index.reps``.  A load-time self-check enforces bitwise equality of
+    the two before the compiled path is ever used.
     """
-    if stop > start and reps.shape[0] and reps.shape[1]:
-        fn = _native.load()
-        if fn is not None:
+    if stop > start and index.shape[1]:
+        query = _native.load()
+        if query is not None:
             a_seg = assignment[start:stop]
             b_seg = best_d2[start:stop]
             if (
@@ -134,18 +288,11 @@ def nearest_block(
                 rows = np.ascontiguousarray(
                     cols.T[start:stop], dtype=np.float64
                 )
-                repcols = np.ascontiguousarray(reps.T, dtype=np.float64)
-                fn(
-                    rows,
-                    stop - start,
-                    reps.shape[1],
-                    repcols,
-                    reps.shape[0],
-                    a_seg,
-                    b_seg,
-                )
+                query(rows, index, a_seg, b_seg)
                 return
-    _nearest_block_numpy(cols, reps, assignment, best_d2, d2, tmp, start, stop)
+    _nearest_block_numpy(
+        cols, index.reps, assignment, best_d2, d2, tmp, start, stop
+    )
 
 
 def _nearest_block_numpy(

@@ -15,10 +15,9 @@ bit-for-bit contract and avoid copying the operands:
   physical bytes as the parent — a shard's task message is a few segment
   descriptors and two integers, never an array;
 * **canonical arithmetic** — every shard runs the same
-  :func:`~repro.backend.kernels.sq_distances_block` /
-  :func:`~repro.backend.kernels.nearest_block` bodies on the same floats,
-  and per-row results are blocking-invariant, so the assembled buffer is
-  bitwise the serial one;
+  :func:`~repro.backend.kernels.sq_distances_block` body on the same
+  floats, and per-row results are blocking-invariant, so the assembled
+  buffer is bitwise the serial one;
 * **deterministic merges** — per-shard argmin/argmax candidates merge
   under the strict ``(value, index)`` order exactly like the threaded
   backend; the k-th-smallest bound merges per-shard top-k multisets.
@@ -26,11 +25,13 @@ bit-for-bit contract and avoid copying the operands:
 Primitives whose operands live outside backend-allocated storage fall
 back as follows: distance evaluation and the masked selections run the
 inherited serial bodies (correct on any array; the engine's hot loop
-always passes shared buffers); :meth:`assign_nearest` *stages* its inputs
-into throwaway shared segments when the batch is large enough to amortize
-the copy.  :meth:`score_swaps` stays serial by design: the EMD trackers
-are interlinked Python objects whose per-call pickling would cost more
-than the scoring they shard.
+always passes shared buffers).  Two primitives always run in-process:
+:meth:`score_swaps`, because the EMD trackers are interlinked Python
+objects whose per-call pickling would cost more than the scoring they
+shard, and :meth:`assign_nearest`, because sharding it would stage the
+batch and the kd index's arrays into shared segments on every call, and
+an index-sized model answers in about a microsecond per row (the
+threaded backend shards it without copying anything).
 
 Worker lifecycle: workers are forked (POSIX) or spawned lazily on first
 use; a crashed pool (``BrokenProcessPool``) is discarded so the next call
@@ -57,7 +58,7 @@ import numpy as np
 
 from ..registry import register_backend
 from .base import ComputeBackend, num_threads_default
-from .kernels import iter_blocks, nearest_block, sq_distances_block
+from .kernels import iter_blocks, sq_distances_block
 
 #: A segment descriptor: (segment name, byte offset, shape) of a float64
 #: C-contiguous array living inside a shared-memory segment.
@@ -132,12 +133,6 @@ def _view(desc: _Desc) -> np.ndarray:
     return np.ndarray(shape, dtype=np.float64, buffer=shm.buf, offset=offset)
 
 
-def _view_i64(desc: _Desc) -> np.ndarray:
-    name, offset, shape = desc
-    shm = _attach(name)
-    return np.ndarray(shape, dtype=np.int64, buffer=shm.buf, offset=offset)
-
-
 # -- worker task bodies (module level: picklable by reference) -----------------
 
 
@@ -170,32 +165,6 @@ def _kth_shard(values_desc: _Desc, start: int, stop: int, k: int) -> np.ndarray:
     return np.partition(seg, k - 1)[:k]
 
 
-def _assign_shard(
-    cols_desc: _Desc,
-    reps_desc: _Desc,
-    assignment_desc: _Desc,
-    start: int,
-    stop: int,
-) -> None:
-    cols = _view(cols_desc)
-    reps = _view(reps_desc)
-    assignment = _view_i64(assignment_desc)
-    n = stop - start
-    best_d2 = np.full(n, np.inf)
-    d2 = np.empty(n)
-    tmp = np.empty(n)
-    nearest_block(
-        cols[:, start:stop],
-        reps,
-        assignment[start:stop],
-        best_d2,
-        d2,
-        tmp,
-        0,
-        n,
-    )
-
-
 def _release_segment(shm: shared_memory.SharedMemory, registry: dict) -> None:
     registry.pop(shm.name, None)
     try:
@@ -220,9 +189,6 @@ class ProcessBackend(ComputeBackend):
         masked selections.  Higher than the threaded backend's floor:
         a process dispatch costs roughly an order of magnitude more than
         a thread dispatch.
-    min_assign_rows:
-        Row floor for sharding (and staging) the nearest-representative
-        scan.
     min_shm_bytes:
         Buffers smaller than this are allocated as ordinary arrays —
         a shared segment has kernel-object overhead a tiny scratch never
@@ -236,22 +202,16 @@ class ProcessBackend(ComputeBackend):
         num_workers: int | None = None,
         *,
         min_rows: int = 65536,
-        min_assign_rows: int = 8192,
         min_shm_bytes: int = 4096,
     ) -> None:
         if num_workers is None:
             num_workers = num_threads_default()
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-        for label, value in (
-            ("min_rows", min_rows),
-            ("min_assign_rows", min_assign_rows),
-        ):
-            if value < 1:
-                raise ValueError(f"{label} must be >= 1, got {value}")
+        if min_rows < 1:
+            raise ValueError(f"min_rows must be >= 1, got {min_rows}")
         self.num_workers = int(num_workers)
         self._min_rows = int(min_rows)
-        self._min_assign_rows = int(min_assign_rows)
         self._min_shm_bytes = int(min_shm_bytes)
         self._pool: ProcessPoolExecutor | None = None
         #: name -> (segment, base address, end address) for owned segments.
@@ -359,15 +319,6 @@ class ProcessBackend(ComputeBackend):
                 return (name, lo - base_lo, arr.shape)
         return None
 
-    def _stage(self, arr: np.ndarray, dtype=np.float64) -> tuple:
-        """Copy a foreign array into a throwaway segment; returns
-        ``(segment, descriptor)`` — the caller unlinks after use."""
-        arr = np.ascontiguousarray(arr, dtype=dtype)
-        shm = shared_memory.SharedMemory(create=True, size=max(arr.nbytes, 1))
-        view = np.ndarray(arr.shape, dtype=dtype, buffer=shm.buf)
-        view[...] = arr
-        return shm, (shm.name, 0, arr.shape)
-
     # -- distance evaluation ---------------------------------------------------
 
     def eval_sq_distances(
@@ -439,43 +390,6 @@ class ProcessBackend(ComputeBackend):
         )
         # The global k smallest all survive their own shard's cut.
         return float(np.partition(top, k - 1)[:k].max())
-
-    # -- serving: nearest fitted representative --------------------------------
-
-    def _assign_nearest(
-        self, X: np.ndarray, reps: np.ndarray, assignment: np.ndarray
-    ) -> None:
-        n = X.shape[0]
-        shards = self._shards(n, self._min_assign_rows)
-        if len(shards) <= 1:
-            super()._assign_nearest(X, reps, assignment)
-            return
-        staged = []
-        try:
-            cols_shm, cols_desc = self._stage(X.T)
-            staged.append(cols_shm)
-            reps_shm, reps_desc = self._stage(reps)
-            staged.append(reps_shm)
-            out_shm, out_desc = self._stage(assignment, dtype=np.int64)
-            staged.append(out_shm)
-            self._run(
-                [
-                    (_assign_shard, cols_desc, reps_desc, out_desc, start, stop)
-                    for start, stop in shards
-                ]
-            )
-            out_view = np.ndarray(
-                assignment.shape, dtype=np.int64, buffer=out_shm.buf
-            )
-            assignment[...] = out_view
-            del out_view
-        finally:
-            for shm in staged:
-                try:
-                    shm.close()
-                    shm.unlink()
-                except (FileNotFoundError, OSError):  # pragma: no cover
-                    pass
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ProcessBackend(num_workers={self.num_workers})"

@@ -18,7 +18,10 @@ the serial backend's bit-for-bit results:
   :meth:`~repro.core.confidential.ClusterTrackerSet.swap_emds_batch` is
   computed independently and the scoring pass is read-only on the
   tracker, so the candidate axis shards freely;
-* **nearest-representative assignment** — per-row scans are independent.
+* **nearest-representative assignment** — per-row queries are
+  independent; every shard queries the same read-only
+  :class:`~repro.backend.kernels.NearestIndex`, and the compiled query
+  releases the GIL, so shards run in parallel.
 
 Shard-size floors keep the pool out of the small-input regime where
 dispatch overhead (tens of microseconds per submit) would dominate; below
@@ -36,7 +39,7 @@ import numpy as np
 
 from ..registry import register_backend
 from .base import ComputeBackend, num_threads_default
-from .kernels import iter_blocks, nearest_block, sq_distances_block
+from .kernels import NearestIndex, iter_blocks, nearest_block, sq_distances_block
 
 
 @register_backend("threaded")
@@ -54,8 +57,8 @@ class ThreadedBackend(ComputeBackend):
         masked selections (one shard's kernel work must dwarf one pool
         dispatch).
     min_assign_rows:
-        Row floor for sharding the nearest-representative scan — each row
-        costs O(representatives × d), so much smaller blocks than
+        Row floor for sharding the nearest-representative query — each
+        row costs far more than one distance, so much smaller blocks than
         ``min_rows`` already amortize a dispatch.
     min_candidates:
         Candidate-block floor for sharding batched swap scoring.
@@ -258,12 +261,12 @@ class ThreadedBackend(ComputeBackend):
     # -- serving: nearest fitted representative --------------------------------
 
     def _assign_nearest(
-        self, X: np.ndarray, reps: np.ndarray, assignment: np.ndarray
+        self, X: np.ndarray, index: NearestIndex, assignment: np.ndarray
     ) -> None:
         n = X.shape[0]
         shards = self._shards(n, self._min_assign_rows)
         if len(shards) <= 1:
-            super()._assign_nearest(X, reps, assignment)
+            super()._assign_nearest(X, index, assignment)
             return
         best_d2 = np.full(n, np.inf)
         cols = X.T
@@ -275,7 +278,7 @@ class ThreadedBackend(ComputeBackend):
                 tmp = np.empty(length)
                 nearest_block(
                     cols[:, start:stop],
-                    reps,
+                    index,
                     assignment[start:stop],
                     best_d2[start:stop],
                     d2,

@@ -16,13 +16,18 @@ paths are one implementation and stay bit-for-bit identical.
 The batch pipeline is deliberately staged::
 
     encoded = model.encode_batch(batch)     # schema check + ONE encode
-    ids     = model.assign_encoded(encoded) # one backend query
+    ids     = model.assign_encoded(encoded) # one backend kd query
     release = model.apply_assignment(batch, ids)
 
 so callers that need the intermediate products (the serving cache keys on
 encoded rows; the batcher coalesces ``assign_encoded`` calls) reuse the
 same single encoding instead of re-deriving it — the schema is scanned
 once and the encoder runs once per batch, pinned by a call-count test.
+
+The model builds a static kd index over its encoded representatives
+(:class:`~repro.backend.kernels.NearestIndex`) once, at construction, and
+every assign query runs against it; the index is derived state, never
+written into model artifacts.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from typing import Mapping
 import numpy as np
 
 from ..backend import ComputeBackend, resolve_backend
+from ..backend.kernels import build_nearest_index
 from ..core.policy import PrivacyPolicy, as_policy
 from ..core.validation import BatchSchemaError
 from ..data.attributes import AttributeRole, AttributeSpec
@@ -117,6 +123,14 @@ class TransformModel:
     encoded_representatives:
         Pre-encoded representatives; derived from ``encoder`` when
         omitted.
+
+    Attributes
+    ----------
+    nearest_index:
+        The :class:`~repro.backend.kernels.NearestIndex` over
+        ``encoded_representatives`` that every assign query runs against,
+        built here once (a couple of milliseconds for thousands of
+        representatives) and shared by every backend and request.
     """
 
     def __init__(
@@ -145,6 +159,7 @@ class TransformModel:
         if encoded_representatives is None:
             encoded_representatives = encoder.encode(self.representatives)
         self.encoded_representatives = np.asarray(encoded_representatives)
+        self.nearest_index = build_nearest_index(self.encoded_representatives)
         self._schema_index = {s.name: s for s in self.schema}
 
     # -- construction -------------------------------------------------------------
@@ -248,14 +263,15 @@ class TransformModel:
     ) -> np.ndarray:
         """Nearest fitted cluster id per pre-encoded row.
 
-        One backend ``assign_nearest`` query: the canonical distance
-        kernel per row against every fitted representative, exact ties to
-        the lowest cluster id.  Per-row results are independent of which
-        other rows share the call — the property the coalescing batcher's
-        bit-for-bit contract rests on.
+        One backend ``assign_nearest`` query against the model's kd index:
+        bitwise the canonical distance kernel per row against every
+        fitted representative, exact ties to the lowest cluster id.
+        Per-row results are independent of which other rows share the
+        call — the property the coalescing batcher's bit-for-bit contract
+        rests on.
         """
         backend = self.backend if backend is None else backend
-        return backend.assign_nearest(encoded, self.encoded_representatives)
+        return backend.assign_nearest(encoded, self.nearest_index)
 
     def assign(
         self,

@@ -1,22 +1,28 @@
-"""Compiled nearest-scan fast path == canonical numpy kernel, bitwise.
+"""Compiled kd query == canonical numpy kernel, bitwise.
 
-``repro.backend._native`` builds a C version of the nearest-representative
-scan with FP contraction disabled; its whole value rests on producing
-*exactly* the assignments and squared distances of the pure-numpy kernel
-(``kernels._nearest_block_numpy``), ties included, under any row
-blocking.  This suite is the differential proof — and it also pins the
-degrade paths: the env kill-switch, and the dtype/contiguity guards that
-route unusual buffers back to the numpy body.
+``repro.backend._native`` builds a C kd-tree search over a
+``kernels.NearestIndex`` with FP contraction disabled; its whole value
+rests on producing *exactly* the assignments and squared distances of the
+pure-numpy scan (``kernels._nearest_block_numpy``), ties included, under
+any row blocking and any tree shape.  This suite is the differential
+proof — from single-leaf indices (the brute scan) to trees forced down
+to one representative per leaf — and it also pins the degrade paths: the
+env kill-switch, and the dtype/contiguity guards that route unusual
+buffers back to the numpy body.
 
 When the host has no usable compiler the fast-path tests skip (the
-fallback behaviour tests still run): the library must work identically,
-just slower.
+fallback behaviour and index-build tests still run): the library must
+work identically, just slower.
 """
+
+import sys
 
 import numpy as np
 import pytest
 
-from repro.backend import _native, kernels
+from repro.backend import ThreadedBackend, _native, kernels, resolve_backend
+
+from ..backends import BACKENDS_UNDER_TEST
 
 
 def run_numpy(X, reps, *, block=None):
@@ -31,16 +37,40 @@ def run_numpy(X, reps, *, block=None):
     return assignment, best_d2
 
 
-def run_dispatch(X, reps, *, block=None):
+def run_dispatch(X, reps, *, block=None, index=None):
+    """The dispatching query, over ``index`` or over ``reps`` indexed at
+    the depth the split rule picks."""
+    if index is None:
+        index = kernels.build_nearest_index(reps)
     n = len(X)
     assignment = np.zeros(n, dtype=np.int64)
     best_d2 = np.full(n, np.inf)
     d2, tmp = np.empty(n), np.empty(n)
     for start, stop in kernels.iter_blocks(n, block):
         kernels.nearest_block(
-            X.T, reps, assignment, best_d2, d2, tmp, start, stop
+            X.T, index, assignment, best_d2, d2, tmp, start, stop
         )
     return assignment, best_d2
+
+
+def half_grid(rng, shape):
+    """Half-integer grid values: exact cross-representative ties abound."""
+    return np.round(rng.standard_normal(shape) * 2.0) / 2.0
+
+
+def assert_matches_numpy(X, reps, *, depths=None, blocks=(None,)):
+    """Every forced tree shape (default: all of them, one representative
+    per leaf included) and every row blocking equals the numpy scan."""
+    a_ref, b_ref = run_numpy(X, reps)
+    if depths is None:
+        depths = range(int(np.log2(len(reps))) + 1)
+    for depth in depths:
+        index = kernels._build_tree(np.ascontiguousarray(reps), depth)
+        for block in blocks:
+            a, b = run_dispatch(X, reps, block=block, index=index)
+            np.testing.assert_array_equal(a_ref, a, err_msg=f"depth {depth}")
+            np.testing.assert_array_equal(b_ref, b, err_msg=f"depth {depth}")
+    return a_ref, b_ref
 
 
 native_only = pytest.mark.skipif(
@@ -94,7 +124,14 @@ class TestBitwiseEquivalence:
         a = np.zeros(n, dtype=np.int64)
         b = np.full(n, np.inf)
         kernels.nearest_block(
-            X.T, reps, a, b, np.empty(n), np.empty(n), 0, n
+            X.T,
+            kernels.build_nearest_index(reps),
+            a,
+            b,
+            np.empty(n),
+            np.empty(n),
+            0,
+            n,
         )
         np.testing.assert_array_equal(a_ref, a)
         np.testing.assert_array_equal(b_ref, b)
@@ -125,18 +162,208 @@ class TestFallbackPaths:
         a = np.zeros(n, dtype=np.int32)
         b = np.full(n, np.inf)
         kernels.nearest_block(
-            X.T, reps, a, b, np.empty(n), np.empty(n), 0, n
+            X.T,
+            kernels.build_nearest_index(reps),
+            a,
+            b,
+            np.empty(n),
+            np.empty(n),
+            0,
+            n,
         )
         np.testing.assert_array_equal(a_ref.astype(np.int32), a)
 
     def test_empty_block_is_a_no_op(self):
-        reps = np.zeros((3, 2))
+        index = kernels.build_nearest_index(np.zeros((3, 2)))
         a = np.full(5, -1, dtype=np.int64)
         b = np.full(5, np.inf)
         kernels.nearest_block(
-            np.zeros((2, 5)), reps, a, b, np.empty(5), np.empty(5), 2, 2
+            np.zeros((2, 5)), index, a, b, np.empty(5), np.empty(5), 2, 2
         )
         assert (a == -1).all()
+
+
+@native_only
+class TestKdQuery:
+    """The tree path: every case compares assignments *and* best squared
+    distances bitwise with the numpy scan."""
+
+    def test_thousands_of_reps_on_half_integer_grid(self):
+        rng = np.random.default_rng(21)
+        X = half_grid(rng, (2000, 3))
+        reps = half_grid(rng, (3000, 3))
+        assert kernels.build_nearest_index(reps).depth > 0
+        a_ref, b_ref = run_numpy(X, reps)
+        a, b = run_dispatch(X, reps)
+        np.testing.assert_array_equal(a_ref, a)
+        np.testing.assert_array_equal(b_ref, b)
+
+    def test_duplicated_representative_never_wins_a_tie(self):
+        rng = np.random.default_rng(22)
+        reps = half_grid(rng, (600, 2))
+        reps[517] = reps[9]
+        X = np.vstack([reps[[9, 517]], half_grid(rng, (500, 2))])
+        a, _ = assert_matches_numpy(X, reps, blocks=(None, 13))
+        assert not (a == 517).any()
+        assert a[0] == a[1] == 9
+
+    def test_all_identical_representatives(self):
+        rng = np.random.default_rng(23)
+        reps = np.repeat(rng.standard_normal((1, 3)), 256, axis=0)
+        X = rng.standard_normal((300, 3))
+        a, _ = assert_matches_numpy(X, reps)
+        assert (a == 0).all()
+
+    def test_single_representative(self):
+        rng = np.random.default_rng(24)
+        X = rng.standard_normal((40, 4))
+        a, _ = assert_matches_numpy(X, rng.standard_normal((1, 4)))
+        assert (a == 0).all()
+
+    def test_single_column(self):
+        rng = np.random.default_rng(25)
+        reps = half_grid(rng, (1000, 1))
+        assert kernels.build_nearest_index(reps).depth > 0
+        assert_matches_numpy(half_grid(rng, (800, 1)), reps)
+
+    def test_squares_overflowing_to_inf(self):
+        # ~1e154 squared is ~1e308: many squares and sums overflow to inf,
+        # and a box's bound may reach inf only where every distance to its
+        # representatives does.  The far rows overflow against every
+        # representative and keep id 0.
+        rng = np.random.default_rng(26)
+        reps = rng.standard_normal((512, 2)) * 1e154
+        X = np.vstack(
+            [
+                rng.standard_normal((300, 2)) * 1e154,
+                rng.choice([-1.0, 1.0], (40, 2)) * 1.5e308,
+            ]
+        )
+        with np.errstate(over="ignore"):
+            _, b = assert_matches_numpy(X, reps, depths=(0, 3, 5, 9))
+        assert np.isinf(b).any() and np.isfinite(b).any()
+
+    @pytest.mark.parametrize("width,n_reps,split", [(4, 400, True), (8, 400, False)])
+    def test_each_side_of_the_split_rule(self, width, n_reps, split):
+        rng = np.random.default_rng(27)
+        reps = half_grid(rng, (n_reps, width))
+        X = half_grid(rng, (700, width))
+        assert (kernels.build_nearest_index(reps).depth > 0) is split
+        a_ref, b_ref = run_numpy(X, reps)
+        a, b = run_dispatch(X, reps)
+        np.testing.assert_array_equal(a_ref, a)
+        np.testing.assert_array_equal(b_ref, b)
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 333])
+    def test_row_blocking_invariance(self, block):
+        rng = np.random.default_rng(28)
+        reps = half_grid(rng, (900, 3))
+        X = half_grid(rng, (1000, 3))
+        assert_matches_numpy(X, reps, depths=(0, 5), blocks=(None, block))
+
+    def test_tie_heavy_randomized_shapes(self):
+        # Small integer grids with every forced depth: leaves from the
+        # whole matrix down to a single representative.
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            width = int(rng.integers(1, 6))
+            n_reps = int(rng.integers(2, 200))
+            reps = rng.integers(0, 3, (n_reps, width)).astype(float)
+            X = rng.integers(0, 3, (int(rng.integers(1, 120)), width)).astype(float)
+            assert_matches_numpy(X, reps, blocks=(None, 5))
+
+
+class TestIndexBuild:
+    def test_split_rule_is_depth_at_least_width(self):
+        for n_reps, width, depth in [
+            (32, 1, 0),  # a single leaf's worth: nothing to split
+            (40, 1, 1),
+            (40, 2, 0),
+            (400, 4, 4),
+            (400, 8, 0),
+            (5000, 4, 8),
+            (5000, 8, 8),
+            (5000, 12, 0),
+            (5000, 0, 0),
+        ]:
+            assert kernels.split_depth(n_reps, width) == depth, (n_reps, width)
+
+    @pytest.mark.parametrize("depth", [0, 1, 4, 8])
+    def test_tree_arrays_are_consistent(self, depth):
+        rng = np.random.default_rng(30)
+        reps = rng.standard_normal((300, 3))
+        index = kernels._build_tree(reps, depth)
+        assert index.depth == depth
+        assert sorted(index.ids) == list(range(300))
+        np.testing.assert_array_equal(index.repcols, reps[index.ids].T)
+        sizes = np.diff(index.leaf_bounds)
+        assert sizes.min() >= 1 and sizes.max() - sizes.min() <= 1
+        # Every node's box is exactly the box of the points under it.
+        n_nodes = len(index.lo)
+        assert n_nodes == 2 ** (depth + 1) - 1
+        for node in range(n_nodes):
+            level = (node + 1).bit_length() - 1
+            first = (node + 1 - 2**level) * 2 ** (depth - level)
+            lo_leaf, hi_leaf = first, first + 2 ** (depth - level)
+            pts = reps[
+                index.ids[index.leaf_bounds[lo_leaf] : index.leaf_bounds[hi_leaf]]
+            ]
+            np.testing.assert_array_equal(index.lo[node], pts.min(axis=0))
+            np.testing.assert_array_equal(index.hi[node], pts.max(axis=0))
+
+    def test_depth_beyond_one_rep_per_leaf_is_rejected(self):
+        with pytest.raises(ValueError):
+            kernels._build_tree(np.zeros((5, 2)), 3)
+
+    def test_reps_must_be_2d(self):
+        with pytest.raises(ValueError):
+            kernels.build_nearest_index(np.zeros(5))
+
+
+@pytest.mark.parametrize("backend", BACKENDS_UNDER_TEST)
+class TestBackendsQueryTheIndex:
+    """``assign_nearest`` under all three backends, over a prebuilt index
+    and over a raw matrix, equals the numpy scan's assignments."""
+
+    def test_tree_index_and_raw_matrix(self, backend):
+        backend = resolve_backend(backend)
+        rng = np.random.default_rng(31)
+        reps = half_grid(rng, (1500, 3))
+        reps[1200] = reps[40]
+        X = half_grid(rng, (3000, 3))
+        index = kernels.build_nearest_index(reps)
+        assert index.depth > 0
+        a_ref, _ = run_numpy(X, reps)
+        np.testing.assert_array_equal(backend.assign_nearest(X, index), a_ref)
+        np.testing.assert_array_equal(backend.assign_nearest(X, reps), a_ref)
+
+    def test_forced_deep_tree(self, backend):
+        backend = resolve_backend(backend)
+        rng = np.random.default_rng(32)
+        reps = rng.integers(0, 4, (256, 2)).astype(float)
+        X = rng.integers(0, 4, (500, 2)).astype(float)
+        a_ref, _ = run_numpy(X, reps)
+        index = kernels._build_tree(reps, 8)  # one representative per leaf
+        np.testing.assert_array_equal(backend.assign_nearest(X, index), a_ref)
+
+
+def test_threaded_shards_share_one_index():
+    # More workers than cores, with a short switch interval: every shard
+    # reads the same index and writes its own slice of the output.
+    rng = np.random.default_rng(33)
+    reps = half_grid(rng, (2000, 3))
+    X = half_grid(rng, (6000, 3))
+    index = kernels.build_nearest_index(reps)
+    a_ref, _ = run_numpy(X, reps)
+    backend = ThreadedBackend(8, min_assign_rows=64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            np.testing.assert_array_equal(backend.assign_nearest(X, index), a_ref)
+    finally:
+        sys.setswitchinterval(interval)
+        backend.close()
 
 
 @native_only
@@ -146,3 +373,33 @@ class TestSelfCheck:
 
     def test_self_check_accepts_real_library(self):
         assert _native._self_check(_native.load())
+
+    def test_self_check_forces_a_multi_level_tree(self, monkeypatch):
+        # The fixture must run the box bounds and the deferred-node stack,
+        # not only the leaf scan the split rule would pick for it.
+        depths = []
+        build = kernels._build_tree
+
+        def spy(reps, depth):
+            depths.append(depth)
+            return build(reps, depth)
+
+        monkeypatch.setattr(kernels, "_build_tree", spy)
+        assert _native._self_check(_native.load())
+        assert max(depths) >= 3 and 0 in depths
+
+    @pytest.mark.parametrize("defect", ["bound", "tie"])
+    def test_self_check_rejects_a_broken_query(self, defect):
+        # A query that mis-prunes (scans only the first leaf) or breaks
+        # ties toward the later representative must be rejected at load.
+        def broken(rows, index, assignment, best_d2):
+            bounds = index.leaf_bounds
+            stop = bounds[1] if defect == "bound" else bounds[-1]
+            for i, x in enumerate(rows):
+                for p in range(stop):
+                    diff = x - index.repcols[:, p]
+                    d2 = float(np.sum(diff * diff))
+                    if d2 < best_d2[i] or (defect == "tie" and d2 == best_d2[i]):
+                        best_d2[i], assignment[i] = d2, index.ids[p]
+
+        assert not _native._self_check(broken)

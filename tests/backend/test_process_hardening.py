@@ -23,7 +23,7 @@ from repro.microagg.engine import ClusteringEngine
 
 @pytest.fixture
 def backend():
-    b = ProcessBackend(2, min_rows=8, min_assign_rows=8, min_shm_bytes=1)
+    b = ProcessBackend(2, min_rows=8, min_shm_bytes=1)
     yield b
     b.close()
 
@@ -93,13 +93,13 @@ class TestFallbacks:
             np.partition(np.asarray(values), 6)[:7].max()
         )
 
-    def test_assign_nearest_staging_matches_serial(self, backend):
+    def test_assign_nearest_in_process_matches_serial(self, backend):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((3000, 3))
         reps = rng.standard_normal((11, 3))
         expected = resolve_backend("serial").assign_nearest(X, reps)
         np.testing.assert_array_equal(backend.assign_nearest(X, reps), expected)
-        # Staged segments are throwaway: nothing owned is left behind.
+        # Assign is answered in-process: no segment is created for it.
         assert backend._segments == {}
 
 

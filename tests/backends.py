@@ -37,7 +37,6 @@ def process_for_tests(num_workers: int = 2) -> ProcessBackend:
     return ProcessBackend(
         num_workers,
         min_rows=8,
-        min_assign_rows=8,
         min_shm_bytes=1,
     )
 

@@ -75,6 +75,12 @@ def batch_10k():
 
 
 class TestAssignMatchesRetiredLoop:
+    def test_fixtures_are_index_sized(self, fitted, fitted_grid):
+        # Both models split into a kd-tree, so the bitwise tests below
+        # cover the tree query, not only the single-leaf scan.
+        for model in (fitted, fitted_grid):
+            assert model.transform_model_.nearest_index.depth > 0
+
     def test_10k_batch_bitwise(self, fitted, batch_10k):
         np.testing.assert_array_equal(
             fitted.assign(batch_10k), reference_assign(fitted, batch_10k)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro import Anonymizer
+from repro.backend import SerialBackend
 from repro.core.validation import BatchSchemaError
 from repro.distance.records import QIEncoder
 from repro.runtime.atomic import ArtifactVersionError
@@ -68,6 +69,31 @@ class TestSplitEquivalence:
         json.dumps(described)
         assert described["n_clusters"] == fitted.result_.partition.n_clusters
         assert described["quasi_identifiers"] == list(fitted._qi_names)
+
+
+class TestNearestIndex:
+    def test_assign_queries_the_index_built_at_construction(self, fitted, batch):
+        split = fitted.transform_model_
+        seen = []
+
+        class Spy(SerialBackend):
+            def assign_nearest(self, X, reps):
+                seen.append(reps)
+                return super().assign_nearest(X, reps)
+
+        expected = split.assign(batch)
+        np.testing.assert_array_equal(split.assign(batch, backend=Spy()), expected)
+        assert seen == [split.nearest_index]
+        assert split.nearest_index.reps is split.encoded_representatives
+
+    def test_loaded_model_rebuilds_the_same_index(self, fitted, tmp_path):
+        npz, _ = fitted.save(tmp_path / "model.npz")
+        source = fitted.transform_model_.nearest_index
+        loaded = TransformModel.load(npz, mmap_mode="r").nearest_index
+        for name in ("repcols", "ids", "lo", "hi", "leaf_bounds"):
+            np.testing.assert_array_equal(
+                getattr(loaded, name), getattr(source, name)
+            )
 
 
 class TestSingleEncodePerBatch:
