@@ -35,14 +35,9 @@ is the clustering loop plus the always-on tracker/merge bookkeeping) and
 the sparse swap engine, the lazy pool and the adaptive scoring blocks
 carry the load).
 
-Compute backends: by default the sweep runs on the ``serial`` backend at
-every size, plus ``threaded`` and ``process`` passes at the largest size
-when the sweep reaches n >= 20 000 (``--threaded-at`` to change the
-floor, ``--threads`` to size the pools, ``--backend`` to pin a single
-backend for the whole sweep).  Every entry records its backend, the
-worker count and the machine's CPU count — worker counts without the CPU
-count are not interpretable, and a single-core container will (correctly)
-show the parallel backends' dispatch overhead instead of a speedup.
+Every entry runs on the serial compute backend and records it
+(``backend: "serial"``, ``threads: null``) with the machine's CPU count,
+keeping the schema of entries recorded when parallel backends existed.
 
 ``--ceilings FILE`` additionally asserts the recorded times against the
 checked-in per-entry budgets (``benchmarks/ceilings.json``) and exits
@@ -69,7 +64,6 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro import Anonymizer, KAnonymity, TCloseness  # noqa: E402
-from repro.backend import ProcessBackend, ThreadedBackend, resolve_backend  # noqa: E402
 from repro.core.kanon_first import kanonymity_first  # noqa: E402
 from repro.core.merge import microaggregation_merge  # noqa: E402
 from repro.core.tclose_first import tcloseness_first  # noqa: E402
@@ -103,9 +97,6 @@ SERVE_CHUNK = 1_250
 SERVE_PIPELINE_DEPTH = 4
 #: Worker-process count of the serve-mp leg.
 SERVE_MP_WORKERS = 2
-#: Default smallest sweep size at which extra threaded and process passes
-#: are recorded.
-THREADED_AT = 20_000
 
 
 def synthetic_dataset(n: int, d: int = 4, seed: int = SEED) -> Microdata:
@@ -203,12 +194,7 @@ def serve_throughput(serving_model, encoded: np.ndarray, cache_size: int) -> tup
     return seconds, SERVE_CLIENTS * SERVE_ROUNDS * len(encoded)
 
 
-def spawn_serve(
-    registry_dir: Path,
-    workers: int,
-    backend_name: str,
-    threads: int | None,
-) -> tuple[subprocess.Popen, int]:
+def spawn_serve(registry_dir: Path, workers: int) -> tuple[subprocess.Popen, int]:
     """Boot a ``repro serve`` subprocess; return (process, bound port).
 
     Cache disabled and a 0.5 ms coalescing deadline, matching the
@@ -224,13 +210,9 @@ def spawn_serve(
     ]
     if workers > 1:
         argv += ["--workers", str(workers)]
-    if backend_name != "serial":
-        argv += ["--backend", backend_name]
     env = dict(
         os.environ, PYTHONPATH=str(REPO_ROOT / "src"), PYTHONUNBUFFERED="1"
     )
-    if threads is not None:
-        env["REPRO_NUM_THREADS"] = str(threads)
     proc = subprocess.Popen(
         argv,
         stdout=subprocess.PIPE,
@@ -295,49 +277,28 @@ def serve_http_throughput(
     return timed(lambda: asyncio.run(run()))
 
 
-def make_backend(name: str, threads: int | None):
-    if name == "threaded":
-        return ThreadedBackend(threads)
-    if name == "process":
-        return ProcessBackend(threads)
-    return resolve_backend(name)
-
-
-def run_benchmarks(
-    sizes: tuple[int, ...],
-    backends: tuple[str, ...],
-    threads: int | None,
-    threaded_at: int,
-) -> list[dict]:
+def run_benchmarks(sizes: tuple[int, ...]) -> list[dict]:
     commit = current_commit()
     cpus = os.cpu_count() or 1
     entries: list[dict] = []
-    # One backend instance (and worker pool) per name for the whole sweep.
-    instances = {name: make_backend(name, threads) for name in backends}
     batch = synthetic_dataset(TRANSFORM_BATCH, seed=SEED + 77)
 
     def record(
         algorithm: str,
         n: int,
         t: float | None,
-        backend_name: str,
         seconds: float,
         rows_per_s: float | None = None,
         workers: int | None = None,
     ) -> None:
-        backend_threads = (
-            instances[backend_name].num_workers
-            if backend_name != "serial"
-            else None
-        )
         entry = {
             "algorithm": algorithm,
             "n": n,
             "k": K,
             "t": t,
             "seconds": round(seconds, 4),
-            "backend": backend_name,
-            "threads": backend_threads,
+            "backend": "serial",
+            "threads": None,
             "cpus": cpus,
             "commit": commit,
         }
@@ -347,191 +308,167 @@ def run_benchmarks(
             entry["workers"] = workers
         entries.append(entry)
         t_str = "-" if t is None else f"{t:g}"
-        w_str = "" if backend_threads is None else f" x{backend_threads}"
-        if workers is not None:
-            w_str += f" w{workers}"
+        w_str = "" if workers is None else f"w{workers}"
         r_str = "" if rows_per_s is None else f"  {rows_per_s:>10.0f} rows/s"
         print(
-            f"{algorithm:>14s}  n={n:<6d} k={K} t={t_str:<5s} "
-            f"[{backend_name}{w_str}] {seconds:8.3f}s{r_str}"
+            f"{algorithm:>15s}  n={n:<6d} k={K} t={t_str:<5s} {w_str:>2s}"
+            f" {seconds:8.3f}s{r_str}"
         )
 
     for n in sizes:
         data = synthetic_dataset(n)
         X = data.qi_matrix()
-        for backend_name in backends:
-            if backend_name != "serial" and n < threaded_at:
-                continue
-            backend = instances[backend_name]
-            record(
-                "mdav", n, None, backend_name,
-                timed(lambda: mdav(X, K, backend=backend)),
+        record("mdav", n, None, timed(lambda: mdav(X, K)))
+        record("vmdav", n, None, timed(lambda: vmdav(X, K, gamma=GAMMA)))
+        record(
+            "tclose-first", n, T_TCLOSE,
+            timed(lambda: tcloseness_first(data, K, T_TCLOSE)),
+        )
+        record(
+            "kanon-first", n, T_KANON,
+            timed(lambda: kanonymity_first(data, K, T_KANON)),
+        )
+        record(
+            "kanon-first", n, T_KANON_TIGHT,
+            timed(lambda: kanonymity_first(data, K, T_KANON_TIGHT)),
+        )
+        # Algorithm 1's merge cascade, timed on its own: at tight t the
+        # merge phase is the dominant cost the partner-search work
+        # targets, and folding it into kanon-first's total would bury
+        # a regression under the swap phase's noise.
+        record(
+            "merge", n, T_KANON_TIGHT,
+            timed(lambda: microaggregation_merge(data, K, T_KANON_TIGHT)),
+        )
+        # Serving throughput: one fitted model, a 10k-record batch
+        # through the backend's nearest-representative query.
+        model = Anonymizer(KAnonymity(K) & TCloseness(T_TCLOSE)).fit(data)
+        record(
+            "transform", n, T_TCLOSE,
+            timed(lambda: model.transform(batch)),
+        )
+        # Serving-layer throughput: the same model behind the
+        # coalescing micro-batcher under concurrent clients, with the
+        # transform cache disabled (`serve`: every row reaches the
+        # backend) and sized to the batch (`serve-cached`: repeats
+        # resolve in the LRU).  Rows are encoded once up front so the
+        # pair isolates the assign path the batcher coalesces.
+        encoded_batch = model.transform_model_.encode_batch(batch)
+        for serve_algorithm, cache_size in (
+            ("serve", 0),
+            ("serve-cached", TRANSFORM_BATCH),
+        ):
+            seconds, rows = serve_throughput(
+                model.transform_model_, encoded_batch, cache_size
             )
             record(
-                "vmdav", n, None, backend_name,
-                timed(lambda: vmdav(X, K, gamma=GAMMA, backend=backend)),
+                serve_algorithm, n, T_TCLOSE, seconds,
+                rows_per_s=rows / seconds,
             )
-            record(
-                "tclose-first", n, T_TCLOSE, backend_name,
-                timed(lambda: tcloseness_first(data, K, T_TCLOSE, backend=backend)),
-            )
-            record(
-                "kanon-first", n, T_KANON, backend_name,
-                timed(lambda: kanonymity_first(data, K, T_KANON, backend=backend)),
-            )
-            record(
-                "kanon-first", n, T_KANON_TIGHT, backend_name,
-                timed(lambda: kanonymity_first(data, K, T_KANON_TIGHT, backend=backend)),
-            )
-            # Algorithm 1's merge cascade, timed on its own: at tight t the
-            # merge phase is the dominant cost the partner-search work
-            # targets, and folding it into kanon-first's total would bury
-            # a regression under the swap phase's noise.
-            record(
-                "merge", n, T_KANON_TIGHT, backend_name,
-                timed(
-                    lambda: microaggregation_merge(
-                        data, K, T_KANON_TIGHT, backend=backend
-                    )
-                ),
-            )
-            # Serving throughput: one fitted model, a 10k-record batch
-            # through the backend's nearest-representative query.
-            model = Anonymizer(
-                KAnonymity(K) & TCloseness(T_TCLOSE), backend=backend
-            ).fit(data)
-            record(
-                "transform", n, T_TCLOSE, backend_name,
-                timed(lambda: model.transform(batch)),
-            )
-            # Serving-layer throughput: the same model behind the
-            # coalescing micro-batcher under concurrent clients, with the
-            # transform cache disabled (`serve`: every row reaches the
-            # backend) and sized to the batch (`serve-cached`: repeats
-            # resolve in the LRU).  Rows are encoded once up front so the
-            # pair isolates the assign path the batcher coalesces.
-            encoded_batch = model.transform_model_.encode_batch(batch)
-            for serve_algorithm, cache_size in (
-                ("serve", 0),
-                ("serve-cached", TRANSFORM_BATCH),
-            ):
-                seconds, rows = serve_throughput(
-                    model.transform_model_, encoded_batch, cache_size
-                )
-                record(
-                    serve_algorithm, n, T_TCLOSE, backend_name, seconds,
-                    rows_per_s=rows / seconds,
-                )
-            # End-to-end HTTP serving throughput: the same workload over
-            # the real front end of a `repro serve` subprocess — raw
-            # request bytes pre-serialized, SERVE_CLIENTS persistent
-            # connections pipelining SERVE_PIPELINE_DEPTH requests each.
-            # `serve-keepalive` is one worker; `serve-mp` pre-forks
-            # SERVE_MP_WORKERS sharing the port via SO_REUSEPORT (on a
-            # single-CPU container the extra worker just adds scheduling
-            # overhead — the cpus field keeps that honest).
-            qi_labels = {
-                f"qi{i}": batch.labels(f"qi{i}") for i in range(4)
-            }
-            requests_raw = []
-            for start in range(0, len(batch), SERVE_CHUNK):
-                body = json.dumps(
-                    {
-                        "records": {
-                            name: col[start : start + SERVE_CHUNK].tolist()
-                            for name, col in qi_labels.items()
-                        }
+        # End-to-end HTTP serving throughput: the same workload over
+        # the real front end of a `repro serve` subprocess — raw
+        # request bytes pre-serialized, SERVE_CLIENTS persistent
+        # connections pipelining SERVE_PIPELINE_DEPTH requests each.
+        # `serve-keepalive` is one worker; `serve-mp` pre-forks
+        # SERVE_MP_WORKERS sharing the port via SO_REUSEPORT (on a
+        # single-CPU container the extra worker just adds scheduling
+        # overhead — the cpus field keeps that honest).
+        qi_labels = {
+            f"qi{i}": batch.labels(f"qi{i}") for i in range(4)
+        }
+        requests_raw = []
+        for start in range(0, len(batch), SERVE_CHUNK):
+            body = json.dumps(
+                {
+                    "records": {
+                        name: col[start : start + SERVE_CHUNK].tolist()
+                        for name, col in qi_labels.items()
                     }
-                ).encode()
-                requests_raw.append(
-                    b"POST /v1/assign HTTP/1.1\r\nHost: bench\r\n"
-                    b"Content-Type: application/json\r\n"
-                    + f"Content-Length: {len(body)}\r\n\r\n".encode()
-                    + body
-                )
-            requests_raw *= SERVE_ROUNDS
-            total_rows = SERVE_CLIENTS * SERVE_ROUNDS * len(batch)
-            direct_head = model.transform_model_.assign_encoded(
-                encoded_batch[:SERVE_CHUNK]
+                }
+            ).encode()
+            requests_raw.append(
+                b"POST /v1/assign HTTP/1.1\r\nHost: bench\r\n"
+                b"Content-Type: application/json\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode()
+                + body
             )
-            with tempfile.TemporaryDirectory() as scratch:
-                registry_dir = Path(scratch) / "registry"
-                ModelRegistry(registry_dir).publish("bench", model)
-                for serve_algorithm, n_workers in (
-                    ("serve-keepalive", 1),
-                    ("serve-mp", SERVE_MP_WORKERS),
-                ):
-                    proc, port = spawn_serve(
-                        registry_dir, n_workers, backend_name, threads
-                    )
-                    try:
-                        # Fidelity gate outside the timed loop: the HTTP
-                        # answer must match the direct kernel query.
-                        with HttpClient("127.0.0.1", port) as probe:
-                            status, reply = probe.request(
-                                "POST",
-                                "/v1/assign",
-                                json.loads(requests_raw[0].split(
-                                    b"\r\n\r\n", 1
-                                )[1]),
-                            )
-                        if status != 200 or reply["assignments"] != list(
-                            map(int, direct_head)
-                        ):
-                            raise RuntimeError(
-                                f"served assignments diverge ({status})"
-                            )
-                        seconds = serve_http_throughput(
-                            port, requests_raw, SERVE_CLIENTS
+        requests_raw *= SERVE_ROUNDS
+        total_rows = SERVE_CLIENTS * SERVE_ROUNDS * len(batch)
+        direct_head = model.transform_model_.assign_encoded(
+            encoded_batch[:SERVE_CHUNK]
+        )
+        with tempfile.TemporaryDirectory() as scratch:
+            registry_dir = Path(scratch) / "registry"
+            ModelRegistry(registry_dir).publish("bench", model)
+            for serve_algorithm, n_workers in (
+                ("serve-keepalive", 1),
+                ("serve-mp", SERVE_MP_WORKERS),
+            ):
+                proc, port = spawn_serve(registry_dir, n_workers)
+                try:
+                    # Fidelity gate outside the timed loop: the HTTP
+                    # answer must match the direct kernel query.
+                    with HttpClient("127.0.0.1", port) as probe:
+                        status, reply = probe.request(
+                            "POST",
+                            "/v1/assign",
+                            json.loads(requests_raw[0].split(
+                                b"\r\n\r\n", 1
+                            )[1]),
                         )
-                    finally:
-                        proc.send_signal(signal.SIGTERM)
-                        proc.communicate(timeout=60)
-                    record(
-                        serve_algorithm, n, T_TCLOSE, backend_name, seconds,
-                        rows_per_s=total_rows / seconds,
-                        workers=n_workers,
+                    if status != 200 or reply["assignments"] != list(
+                        map(int, direct_head)
+                    ):
+                        raise RuntimeError(
+                            f"served assignments diverge ({status})"
+                        )
+                    seconds = serve_http_throughput(
+                        port, requests_raw, SERVE_CLIENTS
                     )
-            # Checkpoint overhead: the same tight kanon-first fit through
-            # the full lifecycle, plain vs checkpointed at the default
-            # cadence.  Tracked as a pair so the crash-safety layer's cost
-            # stays visible in the trajectory (it must remain marginal —
-            # < 5% at n=20k).  Best-of-two per leg: the entries feed a
-            # ratio of ~seconds-scale runs, where one bad scheduling
-            # moment would otherwise dominate the comparison.
-            ckpt_policy = KAnonymity(K) & TCloseness(T_KANON_TIGHT)
+                finally:
+                    proc.send_signal(signal.SIGTERM)
+                    proc.communicate(timeout=60)
+                record(
+                    serve_algorithm, n, T_TCLOSE, seconds,
+                    rows_per_s=total_rows / seconds,
+                    workers=n_workers,
+                )
+        # Checkpoint overhead: the same tight kanon-first fit through
+        # the full lifecycle, plain vs checkpointed at the default
+        # cadence.  Tracked as a pair so the crash-safety layer's cost
+        # stays visible in the trajectory (it must remain marginal —
+        # < 5% at n=20k).  Best-of-two per leg: the entries feed a
+        # ratio of ~seconds-scale runs, where one bad scheduling
+        # moment would otherwise dominate the comparison.
+        ckpt_policy = KAnonymity(K) & TCloseness(T_KANON_TIGHT)
 
-            def fit_kanon(checkpoint=None):
-                Anonymizer(
-                    ckpt_policy, method="kanon-first", backend=backend
-                ).fit(data, checkpoint=checkpoint)
-
-            record(
-                "fit-kanon", n, T_KANON_TIGHT, backend_name,
-                min(timed(fit_kanon) for _ in range(2)),
+        def fit_kanon(checkpoint=None):
+            Anonymizer(ckpt_policy, method="kanon-first").fit(
+                data, checkpoint=checkpoint
             )
 
-            def fit_checkpointed() -> float:
-                with tempfile.TemporaryDirectory() as scratch:
-                    return timed(
-                        lambda: fit_kanon(checkpoint=Path(scratch) / "ck")
-                    )
+        record(
+            "fit-kanon", n, T_KANON_TIGHT,
+            min(timed(fit_kanon) for _ in range(2)),
+        )
 
-            record(
-                "fit-kanon-ckpt", n, T_KANON_TIGHT, backend_name,
-                min(fit_checkpointed() for _ in range(2)),
-            )
+        def fit_checkpointed() -> float:
+            with tempfile.TemporaryDirectory() as scratch:
+                return timed(
+                    lambda: fit_kanon(checkpoint=Path(scratch) / "ck")
+                )
+
+        record(
+            "fit-kanon-ckpt", n, T_KANON_TIGHT,
+            min(fit_checkpointed() for _ in range(2)),
+        )
     return entries
 
 
 def entry_key(entry: dict) -> str:
-    """Ceiling-file key, e.g. ``kanon-first@n=5000,t=0.1`` (serial) or
-    ``kanon-first@n=20000,t=0.1,threaded`` (non-default backends)."""
+    """Ceiling-file key, e.g. ``kanon-first@n=5000,t=0.1``."""
     t = "-" if entry["t"] is None else f"{entry['t']:g}"
-    key = f"{entry['algorithm']}@n={entry['n']},t={t}"
-    if entry.get("backend", "serial") != "serial":
-        key += f",{entry['backend']}"
-    return key
+    return f"{entry['algorithm']}@n={entry['n']},t={t}"
 
 
 def check_ceilings(entries: list[dict], ceilings_path: Path) -> int:
@@ -564,29 +501,6 @@ def main() -> int:
         help="comma-separated dataset sizes overriding the default sweep",
     )
     parser.add_argument(
-        "--backend",
-        choices=("serial", "threaded", "process"),
-        default=None,
-        help=(
-            "pin one backend for the whole sweep (default: serial at every "
-            "size plus threaded and process passes at sizes >= --threaded-at)"
-        ),
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="parallel-backend worker count (default: $REPRO_NUM_THREADS, "
-        "else the CPU count)",
-    )
-    parser.add_argument(
-        "--threaded-at",
-        type=int,
-        default=THREADED_AT,
-        help="smallest sweep size that also gets threaded and process passes "
-        f"(default {THREADED_AT}; only in the default multi-backend mode)",
-    )
-    parser.add_argument(
         "--ceilings",
         type=Path,
         default=None,
@@ -606,13 +520,7 @@ def main() -> int:
         sizes = SMOKE_SIZES
     else:
         sizes = SIZES
-    if args.backend is not None:
-        backends = (args.backend,)
-        threaded_at = 0  # pinned backend runs at every size
-    else:
-        backends = ("serial", "threaded", "process")
-        threaded_at = args.threaded_at
-    entries = run_benchmarks(sizes, backends, args.threads, threaded_at)
+    entries = run_benchmarks(sizes)
     payload = {
         "benchmark": "engine_scaling",
         "schema": "benchmarks/README.md#bench_enginejson",

@@ -27,19 +27,17 @@ Quickstart — composable policies and the fit/transform lifecycle::
     >>> model.audit().satisfied             # independent policy audit
     True
 
-Algorithms, partitioners, EMD modes and compute backends are discovered
-through the named registries in :mod:`repro.registry`; extensions register
-their own with ``@register_method`` / ``@register_partitioner`` /
-``register_emd_mode`` / ``@register_backend``.  Every hot path (clustering,
-swap scoring, batch serving) runs on a pluggable compute backend
-(:mod:`repro.backend`): pass ``backend="threaded"`` or
-``backend="process"`` to ``anonymize`` / ``Anonymizer`` — or set
-``REPRO_BACKEND`` — to shard the distance and scoring kernels across a
-thread pool or a shared-memory process pool; outputs are bit-for-bit
-identical under every backend.
+Algorithms, partitioners and EMD modes are discovered through the named
+registries in :mod:`repro.registry`; extensions register their own with
+``@register_method`` / ``@register_partitioner`` / ``register_emd_mode``.
+Every hot path (clustering, swap scoring, batch serving) calls its
+distance, scoring and nearest-representative primitives on a
+:class:`SerialBackend` (:mod:`repro.backend`); ``backend=`` on
+``anonymize`` / ``Anonymizer`` takes ``"serial"`` or an instance, so a
+subclass can count, time or replace those three calls.
 """
 
-from .backend import ComputeBackend, ProcessBackend, SerialBackend, ThreadedBackend
+from .backend import SerialBackend
 from .core import (
     METHODS,
     Anonymizer,
@@ -63,7 +61,7 @@ from .core import (
 )
 from .core.validation import BatchSchemaError, DataValidationError, ValidationError
 from .data import Microdata
-from .registry import BACKENDS, EMD_MODES, PARTITIONERS, Registry
+from .registry import EMD_MODES, PARTITIONERS, Registry
 from .runtime import (
     ArtifactCorruptError,
     ArtifactError,
@@ -115,11 +113,7 @@ __all__ = [
     "ArtifactCorruptError",
     "ArtifactVersionError",
     "CheckpointStore",
-    "ComputeBackend",
     "SerialBackend",
-    "ThreadedBackend",
-    "ProcessBackend",
-    "BACKENDS",
     "AnonymizationService",
     "ModelRegistry",
     "ServingMetrics",

@@ -1,36 +1,19 @@
-"""Pluggable compute backends for the library's hot primitives.
+"""The compute backend behind the library's hot primitives.
 
-See :mod:`repro.backend.base` for the protocol and the selection rules,
-:mod:`repro.backend.kernels` for the canonical distance arithmetic every
-backend executes, and :data:`repro.registry.BACKENDS` for discovery by
-name (``"serial"``, ``"threaded"`` and ``"process"`` ship registered).
+See :mod:`repro.backend.serial` for :class:`SerialBackend` (the three
+primitives callers can substitute), :mod:`repro.backend.base` for the
+``backend=`` resolution rules, and :mod:`repro.backend.kernels` for the
+canonical distance arithmetic those primitives execute.
 """
 
-from .base import (
-    BACKEND_ENV,
-    NUM_THREADS_ENV,
-    BackendConfigError,
-    ComputeBackend,
-    accepts_backend,
-    num_threads_default,
-    resolve_backend,
-)
+from .base import accepts_backend, resolve_backend
 from .kernels import iter_blocks, sq_distances_block
-from .process import ProcessBackend
 from .serial import SerialBackend
-from .threaded import ThreadedBackend
 
 __all__ = [
-    "BACKEND_ENV",
-    "NUM_THREADS_ENV",
-    "BackendConfigError",
-    "ComputeBackend",
-    "ProcessBackend",
     "SerialBackend",
-    "ThreadedBackend",
     "accepts_backend",
     "iter_blocks",
-    "num_threads_default",
     "resolve_backend",
     "sq_distances_block",
 ]

@@ -25,8 +25,9 @@ point, ``repro_kd_nearest``: a depth-first kd-tree search that
   numpy scan's bit for bit.
 
 A tree of one leaf is exactly the brute scan, so there is no separate
-brute-force body.  The C call releases the GIL (``ctypes.CDLL``), which is
-what lets the threaded backend's row shards run in parallel.
+brute-force body.  The C call releases the GIL (``ctypes.CDLL``), so
+queries from concurrent threads (serving's batcher runs each assign on an
+executor thread) run in parallel.
 
 The build is best-effort and cached:
 

@@ -13,8 +13,8 @@ by this module, so
   exact ties between records (ubiquitous for integer-valued or
   category-encoded data) are preserved everywhere;
 * the arithmetic of one output row never depends on which other rows are
-  evaluated alongside it — any row-blocking (cache chunking, or the
-  threaded backend's worker shards) produces bit-for-bit the same buffer.
+  evaluated alongside it — any row-blocking (``chunk_size`` cache
+  chunking) produces bit-for-bit the same buffer.
 
 Historical note ("one last-ulp rounding"): the seed implementations
 summed squares via ``einsum``; canonicalizing to this kernel changed
@@ -50,7 +50,7 @@ or so many columns that every box reaches every query — the index is a
 single leaf, and the query is the brute scan.
 
 This module deliberately imports nothing from the rest of the library
-(the distance layer and the compute backends both sit on top of it) —
+(the distance layer and the compute backend both sit on top of it) —
 the one exception is its private sibling :mod:`repro.backend._native`,
 the compiled kd query, which is admitted only after a load-time
 differential self-check proves it bitwise equal to the numpy arithmetic
@@ -72,7 +72,7 @@ def iter_blocks(n: int, block_size: int | None) -> Iterator[tuple[int, int]]:
 
     ``block_size=None`` yields the single block ``(0, n)``.  Shared by the
     chunk-aware distance evaluations, the clustering engine and the
-    compute backends, so "how large is a block" is decided in exactly one
+    compute backend, so "how large is a block" is decided in exactly one
     place.
     """
     if block_size is None:

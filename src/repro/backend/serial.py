@@ -1,19 +1,109 @@
-"""The default single-threaded numpy backend."""
+"""The compute backend: the three hot primitives callers can substitute.
+
+Profiling the three anonymization algorithms (and the fitted-model serving
+path) shows all of their distance work funnels through three primitives:
+filling a distance buffer from one query point, scoring a block of swap
+candidates against an EMD tracker, and the batch nearest-representative
+query.  :class:`SerialBackend` names exactly those, with single-threaded
+numpy bodies.  The engine, Algorithm 2's swap scoring and serving call
+them *on the backend instance* they were given, which makes the instance
+a seam: a subclass overriding any of the three (to count calls, time
+them, or spy on them in a test) sees every call the library makes.
+
+The paper's algorithms are sequential greedy loops — each cluster, swap
+and merge depends on what the previous step removed — so one step is a
+short numpy call that sharding across workers does not speed up; there
+is one execution strategy, and the rest of the engine's selections
+(masked argmin/argmax, the k-nearest bound) are plain numpy calls inside
+:class:`~repro.microagg.engine.ClusteringEngine`.
+"""
 
 from __future__ import annotations
 
-from ..registry import register_backend
-from .base import ComputeBackend
+import numpy as np
+
+from .kernels import (
+    NearestIndex,
+    build_nearest_index,
+    iter_blocks,
+    nearest_block,
+    sq_distances_block,
+)
 
 
-@register_backend("serial")
-class SerialBackend(ComputeBackend):
+class SerialBackend:
     """Single-threaded numpy execution of the compute primitives.
 
-    This is :class:`~repro.backend.base.ComputeBackend` itself — the
-    protocol's reference bodies *are* the serial path (behaviour-identical
-    to the pre-backend engine internals they were extracted from); the
-    subclass exists to give the default a registry entry of its own.
+    The method bodies are the library's canonical arithmetic (the
+    arithmetic the golden fixtures pin).  Instances hold no state, so one
+    instance is safe to share between engines and threads, and a subclass
+    need not call ``__init__``.
     """
 
-    name = "serial"
+    def eval_sq_distances(
+        self,
+        cols: np.ndarray,
+        point: np.ndarray,
+        out: np.ndarray,
+        tmp: np.ndarray,
+        n: int,
+        chunk_size: int | None = None,
+    ) -> None:
+        """Fill ``out[:n]`` with squared distances from ``point``.
+
+        ``cols`` is the transposed record matrix (``cols[j]`` = column j),
+        ``tmp`` an equally long scratch, ``point`` non-empty.  Every
+        output row is computed by the canonical column-sequential kernel
+        (:func:`~repro.backend.kernels.sq_distances_block`), whose per-row
+        arithmetic is independent of row blocking — so the buffer is
+        bitwise identical for every ``chunk_size``.
+        """
+        for start, stop in iter_blocks(n, chunk_size):
+            sq_distances_block(cols, point, out, tmp, start, stop)
+
+    def score_swaps(
+        self,
+        trackers,
+        member_records: np.ndarray,
+        candidate_records: np.ndarray,
+    ) -> np.ndarray:
+        """Score a block of swap candidates against one cluster tracker.
+
+        Returns the ``(len(candidate_records), len(member_records))``
+        matrix of
+        :meth:`~repro.core.confidential.ClusterTrackerSet.swap_emds_batch`
+        — row b is bitwise the vector ``swap_emds(member_records,
+        candidate_records[b])`` would produce, and each row's arithmetic
+        is independent of which other candidates share the call.  Scoring
+        is read-only on the tracker (no caches are touched).
+        """
+        return trackers.swap_emds_batch(member_records, candidate_records)
+
+    def assign_nearest(
+        self, X: np.ndarray, reps: "NearestIndex | np.ndarray"
+    ) -> np.ndarray:
+        """Nearest representative (by canonical squared distance) per row.
+
+        ``reps`` is a :class:`~repro.backend.kernels.NearestIndex` — built
+        once per fitted model, which is how serving calls this — or a raw
+        ``(R, d)`` matrix, indexed for this call only.  Exact ties resolve
+        to the lowest representative index, and per-row results equal
+        :func:`~repro.backend.kernels.nearest_block` over any row blocking
+        (each row's query is independent).
+        """
+        index = reps if isinstance(reps, NearestIndex) else build_nearest_index(reps)
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != index.shape[1]:
+            raise ValueError(
+                f"X and reps must be 2-D with equal widths, got "
+                f"{X.shape} and {index.shape}"
+            )
+        n = X.shape[0]
+        assignment = np.zeros(n, dtype=np.int64)
+        if n == 0 or X.shape[1] == 0:
+            return assignment
+        best_d2 = np.full(n, np.inf)
+        d2 = np.empty(n)
+        tmp = np.empty(n)
+        nearest_block(X.T, index, assignment, best_d2, d2, tmp, 0, n)
+        return assignment

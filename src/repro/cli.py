@@ -39,11 +39,8 @@ Audit an existing release (exit code 1 when a declared requirement fails)::
     repro-anonymize audit release.csv --qi age,zip --confidential charge \\
         --require k=5,t=0.15
 
-``anonymize``, ``fit`` and ``apply`` accept
-``--backend {serial,threaded,process}`` (default: the ``REPRO_BACKEND``
-environment variable, else ``serial``; the parallel backends size their
-worker pools from ``REPRO_NUM_THREADS``).  The backend is a pure
-execution choice — outputs are bit-for-bit identical under every one.
+Bad input — an unknown column name, a missing file, an unusable policy
+or artifact — prints one ``error: ...`` line and exits 2.
 
 ``python -m repro ...`` is equivalent.
 """
@@ -59,10 +56,10 @@ from .core.model import Anonymizer
 from .core.policy import KAnonymity, PolicyError, PrivacyPolicy, TCloseness
 from .core.repair import PolicyInfeasibleError
 from .core.validation import ValidationError
+from .data.dataset import SchemaError
 from .data.io import read_csv, write_csv
-from .backend import BackendConfigError
 from .privacy.audit import audit, audit_policy
-from .registry import BACKENDS, RegistryError
+from .registry import RegistryError
 from .runtime.atomic import ArtifactError
 from .serving import AnonymizationService, ModelRegistry
 
@@ -120,19 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
             choices=sorted(METHODS),
             default="tclose-first",
             help="algorithm (default: tclose-first, the paper's best)",
-        )
-        add_backend(p)
-
-    def add_backend(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--backend",
-            choices=sorted(BACKENDS),
-            default=None,
-            help=(
-                "compute backend (default: $REPRO_BACKEND, else serial; "
-                "'threaded' sizes its pool from $REPRO_NUM_THREADS, else "
-                "the CPU count).  Output is identical under every backend."
-            ),
         )
 
     anon = sub.add_parser("anonymize", help="anonymize a CSV file")
@@ -201,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     apply_.add_argument("model", help="model path written by `fit`")
     apply_.add_argument("input", help="batch CSV to anonymize")
     apply_.add_argument("output", help="output CSV for the batch release")
-    add_backend(apply_)
 
     publish = sub.add_parser(
         "publish", help="publish a fitted model into a serving registry"
@@ -289,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="copy model arrays into private memory instead of mmapping",
     )
-    add_backend(serve)
 
     return parser
 
@@ -326,7 +308,7 @@ def _read_roles(args: argparse.Namespace, path: str):
 def _cmd_anonymize(args: argparse.Namespace) -> int:
     data = _read_roles(args, args.input)
     policy = _build_policy(args)
-    model = Anonymizer(policy, method=args.method, backend=args.backend).fit(data)
+    model = Anonymizer(policy, method=args.method).fit(data)
     release, result = model.release_, model.result_
     write_csv(release, args.output)
     print(f"wrote {release.n_records} records to {args.output}")
@@ -355,12 +337,12 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     if args.resume:
-        model = Anonymizer.resume(args.resume, backend=args.backend)
+        model = Anonymizer.resume(args.resume)
         policy = model.policy
     else:
         data = _read_roles(args, args.input)
         policy = _build_policy(args)
-        model = Anonymizer(policy, method=args.method, backend=args.backend).fit(
+        model = Anonymizer(policy, method=args.method).fit(
             data, checkpoint=args.checkpoint
         )
     # Write every output before printing, so an interrupted pipe cannot
@@ -381,7 +363,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 def _cmd_apply(args: argparse.Namespace) -> int:
     import csv
 
-    model = Anonymizer.load(args.model, backend=args.backend)
+    model = Anonymizer.load(args.model)
     with open(args.input, newline="") as handle:
         header = next(csv.reader(handle), [])
     batch = read_csv(args.input, schema=model.batch_schema(tuple(header)))
@@ -413,7 +395,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("error: --workers must be at least 1", file=sys.stderr)
         return 2
     service_kwargs = dict(
-        backend=args.backend,
         mmap_mode=None if args.no_mmap else "r",
         max_batch_rows=args.max_batch_rows,
         max_wait_ms=args.max_wait_ms,
@@ -478,13 +459,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         PolicyError,
         PolicyInfeasibleError,
         RegistryError,
-        BackendConfigError,
+        SchemaError,
+        FileNotFoundError,
         ValidationError,
         ArtifactError,
     ) as exc:
-        # RegistryError/BackendConfigError reach here only through the
-        # REPRO_BACKEND / REPRO_NUM_THREADS environment defaults — bad
-        # flag values die in argparse choices.  ValidationError covers
+        # Bad flag values die in argparse choices; RegistryError covers
+        # method names read back from a saved model or checkpoint.
+        # SchemaError covers column names the input CSV lacks and
+        # FileNotFoundError a missing input CSV.  ValidationError covers
         # unusable fit inputs (NaN/inf quasi-identifiers, empty or
         # too-small tables, batch/schema mismatches); ArtifactError covers
         # missing/corrupt/version-skewed model and checkpoint files.

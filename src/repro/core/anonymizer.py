@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..backend import ComputeBackend
+from ..backend import SerialBackend
 from ..data.dataset import Microdata
 
 # Importing the algorithm modules registers the paper's three methods.
@@ -44,7 +44,7 @@ def anonymize(
     t: float,
     *,
     method: str = "tclose-first",
-    backend: ComputeBackend | str | None = None,
+    backend: SerialBackend | str | None = None,
     **method_kwargs: object,
 ) -> tuple[Microdata, TClosenessResult]:
     """Produce a k-anonymous t-close release of ``data``.
@@ -64,9 +64,9 @@ def anonymize(
         ``"kanon-first"`` (Algorithm 2) or ``"tclose-first"`` (Algorithm 3,
         default — the paper's best performer on utility and speed).
     backend:
-        Compute backend (registered name, instance or ``None`` for the
-        ``REPRO_BACKEND`` environment default).  Releases are bit-for-bit
-        identical under every registered backend.
+        Compute backend (``"serial"``, a
+        :class:`~repro.backend.SerialBackend` instance, or ``None`` for
+        the shared one).
     method_kwargs:
         Forwarded to the underlying algorithm (e.g. ``partitioner=`` for
         Algorithm 1, ``merge_fallback=`` for Algorithm 2).

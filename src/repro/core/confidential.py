@@ -219,10 +219,9 @@ class ClusterTrackerSet:
         row ``b`` is bitwise the vector ``swap_emds(member_records,
         new_records[b])`` would produce (each per-attribute batch scorer
         guarantees row-for-row identity, and the max-over-attributes here
-        is elementwise).  The pass is read-only on every tracker, so
-        compute backends may evaluate candidate shards concurrently; this
+        is elementwise).  The pass is read-only on every tracker; this
         is the primitive behind
-        :meth:`repro.backend.ComputeBackend.score_swaps`.
+        :meth:`repro.backend.SerialBackend.score_swaps`.
         """
         member_records = np.asarray(member_records)
         new_records = np.asarray(new_records)

@@ -25,7 +25,7 @@ from itertools import islice
 
 import numpy as np
 
-from ..backend import ComputeBackend, resolve_backend
+from ..backend import SerialBackend, resolve_backend
 from ..data.dataset import Microdata
 from ..distance.records import encode_mixed
 from ..microagg.engine import ClusteringEngine
@@ -108,7 +108,7 @@ def _generate_cluster(
     model: ConfidentialModel,
     k: int,
     t: float,
-    backend: ComputeBackend | str | None = None,
+    backend: SerialBackend | str | None = None,
     progress=None,
     outer_state=None,
     base_units: int = 0,
@@ -164,8 +164,9 @@ def _generate_cluster(
     entered a scan-dominated stretch — switches to *speculative blocks*:
     one batched tracker pass (:meth:`~repro.core.confidential
     .ClusterTrackerSet.swap_emds_batch`, bitwise row-identical to
-    per-candidate scoring, shardable by the backend) covers a whole block
-    under the assumption that no swap in it is accepted.  An acceptance
+    per-candidate scoring, called through the backend's ``score_swaps``)
+    covers a whole block under the assumption that no swap in it is
+    accepted.  An acceptance
     inside a block invalidates the unconsumed speculative rows — they are
     pushed back (in order) onto a pending queue and scored again, against
     the new member multiset, by whichever mode consumes them.  Every
@@ -312,7 +313,7 @@ def kanonymity_first(
     *,
     merge_fallback: bool = True,
     emd_mode: str = "distinct",
-    backend: ComputeBackend | str | None = None,
+    backend: SerialBackend | str | None = None,
     progress=None,
 ) -> TClosenessResult:
     """Algorithm 2: t-closeness-aware MDAV with swap-based refinement.
@@ -334,9 +335,9 @@ def kanonymity_first(
         Only ``"distinct"`` supports the incremental swap evaluation this
         algorithm is built on.
     backend:
-        Compute backend for the distance primitives and the batched swap
-        scoring (name, instance or ``None`` for the ``REPRO_BACKEND``
-        default).  Partitions are backend-independent bit-for-bit.
+        Compute backend for the distance primitive and the batched swap
+        scoring (``"serial"``, an instance, or ``None`` for the shared
+        one).
     progress:
         Optional :class:`~repro.runtime.FitProgress` for checkpointed
         fits.  The clustering loop snapshots under the ``"alg2"`` stage

@@ -49,10 +49,10 @@ from typing import Callable
 
 import numpy as np
 
-from ..backend import ComputeBackend, accepts_backend as _accepts_backend, resolve_backend
+from ..backend import SerialBackend, accepts_backend as _accepts_backend, resolve_backend
 from ..backend.kernels import sq_distances_block
 from ..data.dataset import Microdata
-from ..distance.records import encode_mixed, sq_distances_to
+from ..distance.records import encode_mixed
 from ..microagg.engine import ClusteringEngine
 from ..microagg.mdav import mdav
 from ..microagg.partition import Partition
@@ -331,7 +331,7 @@ def merge_to_t_closeness(
     emd_mode: str = "distinct",
     partner_policy: str = "nearest-qi",
     seed: int = 0,
-    backend: ComputeBackend | str | None = None,
+    backend: SerialBackend | str | None = None,
     progress=None,
     stage: str = "merge",
 ) -> tuple[Partition, np.ndarray, int]:
@@ -366,8 +366,8 @@ def merge_to_t_closeness(
     seed:
         RNG seed for the ``"random"`` policy.
     backend:
-        Compute backend for the centroid engine's partner scans (name,
-        instance or ``None`` for the ``REPRO_BACKEND`` default).
+        Compute backend for the centroid engine's partner scans
+        (``"serial"``, an instance, or ``None`` for the shared one).
     progress:
         Optional :class:`~repro.runtime.FitProgress`.  The loop then
         snapshots its complete state (member lists, EMDs, heap, centroid
@@ -393,6 +393,7 @@ def merge_to_t_closeness(
             f"unknown partner_policy {partner_policy!r}; expected "
             "'nearest-qi', 'lowest-emd' or 'random'"
         )
+    backend = resolve_backend(backend)  # eager: unknown names fail here
     if model is None:
         model = ConfidentialModel(data, emd_mode=emd_mode)
     if qi_matrix is None:
@@ -612,7 +613,7 @@ def microaggregation_merge(
     *,
     partitioner: Partitioner | str = mdav,
     emd_mode: str = "distinct",
-    backend: ComputeBackend | str | None = None,
+    backend: SerialBackend | str | None = None,
     progress=None,
 ) -> TClosenessResult:
     """Algorithm 1: microaggregate the quasi-identifiers, then merge.
@@ -632,8 +633,8 @@ def microaggregation_merge(
     emd_mode:
         ``"distinct"`` (default) or ``"rank"`` ordered-EMD flavour.
     backend:
-        Compute backend for the partition and merge phases (name, instance
-        or ``None`` for the ``REPRO_BACKEND`` default).  Forwarded to the
+        Compute backend for the partition and merge phases (``"serial"``,
+        an instance, or ``None`` for the shared one).  Forwarded to the
         partitioner when its signature accepts a ``backend`` keyword (the
         built-in ``mdav``/``vmdav`` do; third-party ``(X, k)`` callables
         without one are simply called as before).

@@ -37,7 +37,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ..backend import ComputeBackend, accepts_backend, resolve_backend
+from ..backend import SerialBackend, accepts_backend, resolve_backend
 from ..data.attributes import AttributeSpec
 from ..data.dataset import Microdata
 from ..distance.records import QIEncoder
@@ -179,13 +179,10 @@ class Anonymizer:
         table may then violate the declared policy.
     backend:
         Compute backend executing the hot primitives of every phase —
-        clustering, repair and batch ``transform``/``assign`` serving: a
-        registered name (``"serial"``, ``"threaded"``), a
-        :class:`~repro.backend.ComputeBackend` instance, or ``None`` for
-        the ``REPRO_BACKEND`` environment default.  A pure execution
-        choice: fitted results, releases and transforms are bit-for-bit
-        identical under every registered backend, and the choice is *not*
-        serialized — :meth:`load` takes its own ``backend`` argument.
+        clustering, repair and batch ``transform``/``assign`` serving:
+        ``"serial"``, a :class:`~repro.backend.SerialBackend` instance,
+        or ``None`` for the shared one.  The choice is *not* serialized —
+        :meth:`load` takes its own ``backend`` argument.
     method_kwargs:
         Forwarded to the algorithm (e.g. ``partitioner=`` for ``"merge"``).
     """
@@ -196,7 +193,7 @@ class Anonymizer:
         *,
         method: str = "tclose-first",
         repair: bool = True,
-        backend: ComputeBackend | str | None = None,
+        backend: SerialBackend | str | None = None,
         **method_kwargs: object,
     ) -> None:
         self.policy = as_policy(policy)
@@ -260,7 +257,7 @@ class Anonymizer:
         cls,
         checkpoint: str | Path,
         *,
-        backend: ComputeBackend | str | None = None,
+        backend: SerialBackend | str | None = None,
         checkpoint_every_swaps: int = 2048,
         checkpoint_every_merges: int = 64,
         checkpoint_min_interval_s: float = 0.0,
@@ -551,12 +548,11 @@ class Anonymizer:
         """Nearest fitted cluster id for each batch record.
 
         One backend-executed nearest-representative query
-        (:meth:`~repro.backend.ComputeBackend.assign_nearest`) over the
+        (:meth:`~repro.backend.SerialBackend.assign_nearest`) over the
         whole batch — the canonical distance kernel per record against
         every fitted representative, exact ties to the lowest cluster id,
         bit-for-bit the per-cluster loop this replaced (pinned by
-        ``tests/core/test_transform_vectorized.py``).  The threaded
-        backend shards the batch rows across its worker pool.
+        ``tests/core/test_transform_vectorized.py``).
         """
         self._require_fitted()
         return self._serving.assign(batch, backend=self.backend)
@@ -652,7 +648,7 @@ class Anonymizer:
         cls,
         path: str | Path,
         *,
-        backend: ComputeBackend | str | None = None,
+        backend: SerialBackend | str | None = None,
         mmap_mode: str | None = None,
     ) -> "Anonymizer":
         """Rebuild a fitted model from :meth:`save` output.
@@ -661,9 +657,7 @@ class Anonymizer:
         ``result_`` and ``report_``; the fitted table itself is not stored,
         so ``release_`` is None and ``fit`` must be called with data to
         refit.  ``backend`` selects the compute backend for serving (the
-        fitted state is backend-free, so a model saved under one backend
-        loads and transforms identically under any other — pinned by the
-        lifecycle property tests).
+        fitted state records none).
 
         ``mmap_mode="r"`` memory-maps the artifact's arrays read-only in
         place instead of copying them into private memory, so multiple

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backend import ComputeBackend
+from ..backend import SerialBackend
 from ..constants import T_TOLERANCE
 from ..data.dataset import Microdata
 from ..distance.records import encode_mixed
@@ -108,7 +108,7 @@ def enforce_policy(
     *,
     model: ConfidentialModel | None = None,
     qi_matrix: np.ndarray | None = None,
-    backend: ComputeBackend | str | None = None,
+    backend: SerialBackend | str | None = None,
     progress=None,
 ) -> TClosenessResult:
     """Repair ``result`` until its partition satisfies ``policy``.

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backend import ComputeBackend
+from ..backend import SerialBackend
 from ..data.attributes import AttributeKind
 from ..data.dataset import Microdata
 from ..distance.records import encode_mixed
@@ -71,7 +71,7 @@ def tcloseness_first(
     t: float,
     *,
     emd_mode: str = "distinct",
-    backend: ComputeBackend | str | None = None,
+    backend: SerialBackend | str | None = None,
 ) -> TClosenessResult:
     """Algorithm 3: build every cluster t-close by construction.
 
@@ -90,9 +90,8 @@ def tcloseness_first(
         Flavour used for the *reported* per-cluster EMDs (the construction
         itself never computes EMD).
     backend:
-        Compute backend for the distance primitives (name, instance or
-        ``None`` for the ``REPRO_BACKEND`` default); partitions are
-        backend-independent bit-for-bit.
+        Compute backend for the distance primitive (``"serial"``, an
+        instance, or ``None`` for the shared one).
 
     Returns
     -------

@@ -550,9 +550,8 @@ class ClusterEMDTracker:
         member multiset share the member grid; the rest get the member
         grid with their own bin inserted), all integer grid arithmetic is
         exact, and the float segment reduction runs per row over the same
-        contiguous axis — so regrouping candidates into one call (or
-        sharding them across a backend's workers) cannot move a single
-        ulp.  This is what collapses Algorithm 2's per-candidate numpy
+        contiguous axis — so regrouping candidates into one call cannot
+        move a single ulp.  This is what collapses Algorithm 2's per-candidate numpy
         dispatch (~40 µs each) into one call per speculative block.
 
         Scoring is *read-only*: unlike :meth:`swap_emds`, no scoring-pass

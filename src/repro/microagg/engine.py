@@ -63,25 +63,18 @@ have.  Exact ties and tie-breaking rules — the reproducible part — are
 identical, and on integer-valued data (where every kernel is exact) so
 are whole partitions.
 
-Execution is delegated to a pluggable compute backend
-(:mod:`repro.backend`): distance evaluations, masked argmin/argmax and
-the k-nearest bound go through :class:`~repro.backend.ComputeBackend`,
-whose registered implementations (serial numpy, threaded row-block
-shards) are bit-for-bit interchangeable — the equivalence contract above
-therefore holds under every backend, which the golden suites assert by
-running under each.  The one selection that deliberately stays on the
-shared serial primitive is ``k_smallest_indices`` (:meth:`k_nearest`):
-its boundary-tie behaviour is whatever ``argpartition`` does on the
-exact compacted array, a property of that call, not of a total order —
-so it must be *the same call* under every backend (it is O(window) and
-never the hot part).
+Distance evaluations are delegated to the engine's compute backend
+(:meth:`repro.backend.SerialBackend.eval_sq_distances`), called on the
+instance the engine was given so a substituted backend sees every
+evaluation; selections (masked argmin/argmax, the k-nearest bound) are
+plain numpy calls on the distance buffer.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..backend import ComputeBackend, resolve_backend
+from ..backend import SerialBackend, resolve_backend
 from ..distance.records import k_smallest_indices, sq_distances_to
 
 #: Below this many dead rows, compaction is skipped (not worth the copy).
@@ -109,14 +102,9 @@ class ClusteringEngine:
         whole window.  The kernel is elementwise, so results are bitwise
         identical for every block size.
     backend:
-        Compute backend executing the hot primitives (distance buffer
-        fills, masked argmin/argmax, the k-nearest bound): a
-        :class:`~repro.backend.ComputeBackend` instance, a registered name
-        (``"serial"``, ``"threaded"``), or ``None`` for the
-        ``REPRO_BACKEND`` environment default.  Every registered backend
-        honours the bit-for-bit contracts of
-        :mod:`repro.backend.base`, so the produced partitions — including
-        tie-breaking — are independent of the choice.
+        Compute backend whose ``eval_sq_distances`` fills the distance
+        buffer: ``"serial"``, a :class:`~repro.backend.SerialBackend`
+        instance, or ``None`` for the shared serial instance.
     """
 
     def __init__(
@@ -125,7 +113,7 @@ class ClusteringEngine:
         *,
         compact_ratio: float | None = 0.7,
         chunk_size: int | None = None,
-        backend: ComputeBackend | str | None = None,
+        backend: SerialBackend | str | None = None,
     ) -> None:
         X = np.ascontiguousarray(X, dtype=np.float64)
         if X.ndim != 2:
@@ -141,13 +129,10 @@ class ClusteringEngine:
         n = X.shape[0]
         self._X = X  # original rows, addressed by record id
         self._backend = resolve_backend(backend)
-        # Hot buffers come from the backend's allocator so their bytes can
-        # live where its workers reach them (the process backend hands out
-        # shared-memory views); placement never changes a computed value.
         # The working copy is column-major and always a *copy* — even for
         # d == 1, where X.T is already contiguous — so compaction can
         # never write through into the caller's data.
-        self._XwT = self._backend.empty(X.T.shape)
+        self._XwT = np.empty(X.T.shape)
         np.copyto(self._XwT, X.T)
         self._ids = np.arange(n, dtype=np.int64)  # window position -> id
         self._pos = np.arange(n, dtype=np.int64)  # record id -> position
@@ -155,8 +140,8 @@ class ClusteringEngine:
         self._m = n  # active window length
         self._n_alive = n
         self._sum = X.sum(axis=0)  # coordinate sum of live records
-        self._d2 = self._backend.empty(n)  # distance buffer, window layout
-        self._tmp = self._backend.empty(n)  # per-column difference scratch
+        self._d2 = np.empty(n)  # distance buffer, window layout
+        self._tmp = np.empty(n)  # per-column difference scratch
         self._ratio = compact_ratio
         self._chunk = chunk_size
         self._dead_pos = np.empty(n, dtype=np.int64)  # kills since compaction
@@ -183,8 +168,8 @@ class ClusteringEngine:
         return self._m
 
     @property
-    def backend(self) -> ComputeBackend:
-        """The compute backend executing this engine's primitives."""
+    def backend(self) -> SerialBackend:
+        """The compute backend filling this engine's distance buffer."""
         return self._backend
 
     @property
@@ -265,14 +250,13 @@ class ClusteringEngine:
         Evaluates ``sum((row - point)^2)`` for every window row (live and
         dead) into the preallocated buffer and returns it (a view —
         invalidated by the next evaluation or compaction).  The evaluation
-        is delegated to the engine's compute backend, whose contract is
-        the canonical column-sequential kernel of
+        is delegated to the engine's compute backend, which runs the
+        canonical column-sequential kernel of
         :mod:`repro.backend.kernels` — the same arithmetic as
         :func:`~repro.distance.records.sq_distances_to`, elementwise
         ufuncs only, so the result is bitwise identical to that function
-        (independent of the block layout *and* of backend sharding), and
-        exact distance ties are preserved everywhere the reference
-        implementations had them.
+        (independent of the block layout), and exact distance ties are
+        preserved everywhere the reference implementations had them.
         """
         m = self._m
         p = np.ascontiguousarray(point, dtype=np.float64)
@@ -320,7 +304,7 @@ class ClusteringEngine:
         if point is not None:
             self.eval_distances(point)
         d2 = self._masked(-np.inf)
-        return int(self._ids[self._backend.argmax(d2)])
+        return int(self._ids[np.argmax(d2)])
 
     #: Relative margin below the maximum distance within which the fast
     #: centroid's ulp drift could conceivably reorder records.  The actual
@@ -344,7 +328,7 @@ class ClusteringEngine:
         """
         self.eval_distances(self.centroid_fast())
         d2 = self._masked(-np.inf)
-        top = self._backend.argmax(d2)
+        top = int(np.argmax(d2))
         band = self._FARTHEST_MARGIN * (1.0 + abs(d2[top]))
         candidates = np.flatnonzero(d2 >= d2[top] - band)
         if candidates.size == 1:
@@ -364,7 +348,7 @@ class ClusteringEngine:
         if point is not None:
             self.eval_distances(point)
         d2 = self._masked(np.inf)
-        pos = self._backend.argmin(d2)
+        pos = int(np.argmin(d2))
         return int(self._ids[pos]), float(d2[pos])
 
     def k_nearest(self, k: int, point: np.ndarray | None = None) -> np.ndarray:
@@ -411,7 +395,7 @@ class ClusteringEngine:
         if k >= self._n_alive:
             return self.sorted_alive()
         d2 = self._masked(np.inf)
-        bound = self._backend.kth_smallest_value(d2, k)
+        bound = d2[np.argpartition(d2, k - 1)[:k]].max()
         cand = np.flatnonzero(d2 <= bound)
         order = np.argsort(d2[cand], kind="stable")[:k]
         return self._ids[cand[order]]
@@ -446,8 +430,7 @@ class ClusteringEngine:
 
         The engine must have been constructed over a same-shaped matrix
         with the same ``compact_ratio``/``chunk_size`` configuration as
-        the snapshotted one (the backend may differ — backends are
-        bit-for-bit interchangeable).
+        the snapshotted one.
         """
         X = np.ascontiguousarray(np.asarray(state["X"], dtype=np.float64))
         if X.shape != self._X.shape:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backend import ComputeBackend
+from ..backend import SerialBackend
 from ..registry import register_partitioner
 from .engine import ClusteringEngine
 from .partition import Partition
@@ -38,7 +38,7 @@ def mdav(
     X: np.ndarray,
     k: int,
     *,
-    backend: ComputeBackend | str | None = None,
+    backend: SerialBackend | str | None = None,
 ) -> Partition:
     """Partition the rows of ``X`` into clusters of size >= k with MDAV.
 
@@ -50,9 +50,8 @@ def mdav(
     k:
         Minimum (and target) cluster size, ``1 <= k <= n``.
     backend:
-        Compute backend for the distance primitives (name, instance or
-        ``None`` for the ``REPRO_BACKEND`` default); partitions are
-        backend-independent bit-for-bit.
+        Compute backend for the distance primitive (``"serial"``, an
+        instance, or ``None`` for the shared one).
 
     Returns
     -------

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backend import ComputeBackend
+from ..backend import SerialBackend
 from ..distance.records import sq_distances_to
 from ..registry import register_partitioner
 from .engine import ClusteringEngine
@@ -38,7 +38,7 @@ def vmdav(
     k: int,
     *,
     gamma: float = 0.2,
-    backend: ComputeBackend | str | None = None,
+    backend: SerialBackend | str | None = None,
 ) -> Partition:
     """Partition rows of ``X`` into variable-size clusters (k .. 2k-1).
 
@@ -53,9 +53,8 @@ def vmdav(
         current cluster if its squared distance to the cluster centroid is
         below ``gamma`` times the mean intra-cluster squared distance.
     backend:
-        Compute backend for the distance primitives (name, instance or
-        ``None`` for the ``REPRO_BACKEND`` default); partitions are
-        backend-independent bit-for-bit.
+        Compute backend for the distance primitive (``"serial"``, an
+        instance, or ``None`` for the shared one).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:

@@ -1,6 +1,6 @@
 """Named registries for pluggable implementations.
 
-Four extension points of the library are discoverable by name:
+Three extension points of the library are discoverable by name:
 
 * **methods** — the anonymization algorithms behind
   :func:`repro.anonymize` and :class:`repro.Anonymizer` (the paper's three
@@ -9,9 +9,7 @@ Four extension points of the library are discoverable by name:
 * **partitioners** — fixed-size microaggregation heuristics usable as
   Algorithm 1's base step (``mdav``, ``vmdav``, ...);
 * **EMD modes** — flavours of the ordered Earth Mover's Distance
-  (``distinct`` per Li et al., ``rank`` per the paper's propositions);
-* **compute backends** — execution strategies for the engine's hot
-  primitives (``serial``, ``threaded``; see :mod:`repro.backend`).
+  (``distinct`` per Li et al., ``rank`` per the paper's propositions).
 
 Each registry is a read-only mapping from name to implementation, so
 ``sorted(METHODS)``, ``"merge" in METHODS`` and ``METHODS["merge"]`` all
@@ -139,12 +137,6 @@ PARTITIONERS: Registry = Registry("partitioner")
 #: Ordered-EMD flavours: name -> :class:`EMDModeSpec`.
 EMD_MODES: Registry = Registry("EMD mode")
 
-#: Compute backends: name -> zero-argument :class:`ComputeBackend` factory
-#: (typically the class itself); resolution goes through
-#: :func:`repro.backend.resolve_backend`, which also honours the
-#: ``REPRO_BACKEND`` environment default.
-BACKENDS: Registry = Registry("backend")
-
 
 def register_method(name: str, fn: Callable | None = None):
     """Register an anonymization algorithm under ``name`` (decorator)."""
@@ -159,8 +151,3 @@ def register_partitioner(name: str, fn: Callable | None = None):
 def register_emd_mode(name: str, spec=None):
     """Register an ordered-EMD mode descriptor under ``name`` (decorator)."""
     return EMD_MODES.register(name, spec)
-
-
-def register_backend(name: str, factory=None):
-    """Register a compute-backend factory under ``name`` (decorator)."""
-    return BACKENDS.register(name, factory)

@@ -37,7 +37,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ..backend import ComputeBackend, resolve_backend
+from ..backend import SerialBackend, resolve_backend
 from ..backend.kernels import build_nearest_index
 from ..core.policy import PrivacyPolicy, as_policy
 from ..core.validation import BatchSchemaError
@@ -118,8 +118,7 @@ class TransformModel:
         (exposed by the serving API's model listing; optional).
     backend:
         Default compute backend for :meth:`assign_encoded`; every query
-        method also takes a per-call override.  Pure execution choice —
-        results are bit-for-bit identical under every backend.
+        method also takes a per-call override.
     encoded_representatives:
         Pre-encoded representatives; derived from ``encoder`` when
         omitted.
@@ -130,7 +129,7 @@ class TransformModel:
         The :class:`~repro.backend.kernels.NearestIndex` over
         ``encoded_representatives`` that every assign query runs against,
         built here once (a couple of milliseconds for thousands of
-        representatives) and shared by every backend and request.
+        representatives) and shared by every request.
     """
 
     def __init__(
@@ -144,7 +143,7 @@ class TransformModel:
         method: str = "tclose-first",
         algorithm: str | None = None,
         report: Mapping[str, object] | None = None,
-        backend: ComputeBackend | str | None = None,
+        backend: SerialBackend | str | None = None,
         encoded_representatives: np.ndarray | None = None,
     ) -> None:
         self.schema = tuple(schema)
@@ -178,7 +177,7 @@ class TransformModel:
         payload: dict,
         arrays: Mapping[str, np.ndarray],
         *,
-        backend: ComputeBackend | str | None = None,
+        backend: SerialBackend | str | None = None,
     ) -> "TransformModel":
         """Build from a verified model artifact's sidecar payload + arrays."""
         return cls(
@@ -198,7 +197,7 @@ class TransformModel:
         cls,
         path: str | Path,
         *,
-        backend: ComputeBackend | str | None = None,
+        backend: SerialBackend | str | None = None,
         mmap_mode: str | None = None,
     ) -> "TransformModel":
         """Load only the transform-time state from ``Anonymizer.save`` output.
@@ -259,7 +258,7 @@ class TransformModel:
         self,
         encoded: np.ndarray,
         *,
-        backend: ComputeBackend | None = None,
+        backend: SerialBackend | None = None,
     ) -> np.ndarray:
         """Nearest fitted cluster id per pre-encoded row.
 
@@ -277,7 +276,7 @@ class TransformModel:
         self,
         batch: Microdata,
         *,
-        backend: ComputeBackend | None = None,
+        backend: SerialBackend | None = None,
     ) -> np.ndarray:
         """Nearest fitted cluster id for each batch record."""
         return self.assign_encoded(self.encode_batch(batch), backend=backend)
@@ -301,7 +300,7 @@ class TransformModel:
         self,
         batch: Microdata,
         *,
-        backend: ComputeBackend | None = None,
+        backend: SerialBackend | None = None,
     ) -> Microdata:
         """Anonymize new records against the fitted representatives.
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..backend import ComputeBackend
+from ..backend import SerialBackend
 from ..runtime.atomic import ArtifactError, atomic_write_json, read_json
 from .model import TransformModel
 
@@ -205,7 +205,7 @@ class ModelRegistry:
         name: str,
         version: str | None = None,
         *,
-        backend: ComputeBackend | str | None = None,
+        backend: SerialBackend | str | None = None,
         mmap_mode: str | None = None,
     ) -> TransformModel:
         """Load one version (default: the active one) as a ``TransformModel``.

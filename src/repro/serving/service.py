@@ -56,7 +56,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..backend import ComputeBackend
+from ..backend import SerialBackend, resolve_backend
 from ..core.validation import BatchSchemaError
 from ..data.dataset import Microdata, SchemaError
 from ..runtime.atomic import ArtifactError
@@ -103,8 +103,7 @@ class AnonymizationService:
         directory.
     backend:
         Compute backend for the nearest-representative queries (any
-        ``resolve_backend`` spec); purely an execution choice — responses
-        are bit-for-bit identical under every backend.
+        :func:`~repro.backend.resolve_backend` spec).
     mmap_mode:
         Forwarded to the registry loads; the default ``"r"`` maps model
         arrays read-only so parallel workers share page-cache pages.
@@ -145,7 +144,7 @@ class AnonymizationService:
         self,
         registry: ModelRegistry | str | Path,
         *,
-        backend: ComputeBackend | str | None = None,
+        backend: SerialBackend | str | None = None,
         mmap_mode: str | None = "r",
         max_batch_rows: int = 4096,
         max_wait_ms: float = 2.0,
@@ -164,7 +163,7 @@ class AnonymizationService:
             if isinstance(registry, ModelRegistry)
             else ModelRegistry(registry)
         )
-        self.backend = backend
+        self.backend = resolve_backend(backend)  # eager: unknown names fail here
         self.mmap_mode = mmap_mode
         self.max_batch_rows = int(max_batch_rows)
         self.max_wait_ms = float(max_wait_ms)

@@ -1,16 +1,16 @@
-"""Unit contracts of the compute-backend layer.
+"""Unit contracts of the compute backend and the engine's selections.
 
 Three kinds of guarantees are pinned here:
 
-* **registry & resolution** — ``BACKENDS`` discovery, the ``REPRO_BACKEND``
-  environment default, instance pass-through, and the shared default
-  instances;
-* **bit-for-bit primitive equivalence** — every threaded primitive
-  (sharded kernel evaluation, per-shard argmin/argmax merging, the
-  k-th-smallest bound, candidate-axis scoring shards, row-sharded
-  nearest-representative assignment) must reproduce the serial bodies
-  exactly, including on adversarial all-ties inputs where a wrong merge
-  rule would pick a different index;
+* **resolution** — ``None`` and ``"serial"`` give one shared instance,
+  instances pass through, and any other name fails loudly, at the
+  construction of every public entry point;
+* **primitive equivalence** — ``eval_sq_distances`` fills the same buffer
+  bitwise for every ``chunk_size`` (integer ties included),
+  ``assign_nearest`` keeps the lowest-id tie rule and validates its input,
+  and the engine's masked selections (farthest, nearest, the k-nearest
+  bound) pick exactly what argmax/argmin/a stable sort over the reference
+  distances pick, including on adversarial all-ties inputs;
 * **batched swap scoring** — ``swap_emds_batch`` rows equal the
   one-candidate ``swap_emds`` vectors bitwise for ordered and nominal
   trackers, and a committed swap lands on the same float either way.
@@ -19,74 +19,68 @@ Three kinds of guarantees are pinned here:
 import numpy as np
 import pytest
 
-from repro.backend import (
-    BACKEND_ENV,
-    NUM_THREADS_ENV,
-    ComputeBackend,
-    SerialBackend,
-    ThreadedBackend,
-    accepts_backend,
-    num_threads_default,
-    resolve_backend,
-)
-from repro.backend import base as backend_base
+from repro import Anonymizer, KAnonymity
+from repro.backend import SerialBackend, accepts_backend, resolve_backend
 from repro.distance.emd import (
     ClusterEMDTracker,
     NominalClusterTracker,
     NominalEMDReference,
     OrderedEMDReference,
 )
-from repro.registry import BACKENDS, RegistryError
-
-from ..backends import threaded_for_tests
-
-
-@pytest.fixture
-def fresh_default_instances(monkeypatch):
-    """Isolate the process-wide default-instance cache per test."""
-    monkeypatch.setattr(backend_base, "_DEFAULT_INSTANCES", {})
+from repro.distance.records import sq_distances_to
+from repro.microagg import mdav
+from repro.microagg.engine import ClusteringEngine
+from repro.registry import RegistryError
+from repro.serving import AnonymizationService
 
 
 class TestRegistryAndResolution:
     def test_builtins_registered(self):
-        assert {"serial", "threaded"} <= set(BACKENDS)
+        """``"serial"`` is the one built-in name, and the error for any
+        other lists exactly that."""
+        assert isinstance(resolve_backend("serial"), SerialBackend)
+        with pytest.raises(RegistryError, match=r"expected one of \['serial'\]$"):
+            resolve_backend("threaded")
 
-    def test_resolve_by_name_returns_shared_instance(self, fresh_default_instances):
+    def test_resolve_by_name_returns_shared_instance(self):
         first = resolve_backend("serial")
         assert isinstance(first, SerialBackend)
         assert resolve_backend("serial") is first
 
-    def test_resolve_none_reads_env(self, fresh_default_instances, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "threaded")
-        assert isinstance(resolve_backend(None), ThreadedBackend)
-        monkeypatch.delenv(BACKEND_ENV)
-        assert isinstance(resolve_backend(None), SerialBackend)
+    def test_resolve_none_is_the_shared_instance(self):
+        assert resolve_backend(None) is resolve_backend("serial")
 
     def test_resolve_instance_passthrough(self):
-        backend = ThreadedBackend(num_threads=2)
+        class Subclass(SerialBackend):
+            pass
+
+        backend = Subclass()
         assert resolve_backend(backend) is backend
 
     def test_unknown_name_raises_listing_alternatives(self):
-        with pytest.raises(RegistryError, match="serial"):
-            resolve_backend("gpu")
+        for name in ("gpu", "threaded", "process"):
+            with pytest.raises(ValueError, match="'serial'") as info:
+                resolve_backend(name)
+            assert isinstance(info.value, RegistryError)
 
     def test_bad_type_raises(self):
         with pytest.raises(TypeError):
             resolve_backend(42)
 
-    def test_num_threads_env(self, monkeypatch):
-        monkeypatch.setenv(NUM_THREADS_ENV, "3")
-        assert num_threads_default() == 3
-        assert ThreadedBackend().num_workers == 3
-        monkeypatch.setenv(NUM_THREADS_ENV, "0")
-        with pytest.raises(ValueError):
-            num_threads_default()
-
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            ThreadedBackend(num_threads=0)
-        with pytest.raises(ValueError):
-            ThreadedBackend(num_threads=2, min_rows=0)
+    def test_invalid_construction(self, tmp_path):
+        """Entry points reject a retired name or a foreign type before doing
+        any work, instead of silently running serial."""
+        X = np.zeros((4, 1))
+        with pytest.raises(ValueError, match="'serial'"):
+            Anonymizer(KAnonymity(2), backend="threaded")
+        with pytest.raises(ValueError, match="'serial'"):
+            AnonymizationService(tmp_path, backend="process")
+        with pytest.raises(ValueError, match="'serial'"):
+            mdav(X, 2, backend="threaded")
+        with pytest.raises(ValueError, match="'serial'"):
+            ClusteringEngine(X, backend="process")
+        with pytest.raises(TypeError):
+            Anonymizer(KAnonymity(2), backend=object())
 
     def test_accepts_backend(self):
         def with_backend(X, k, *, backend=None):
@@ -103,98 +97,108 @@ class TestRegistryAndResolution:
         assert not accepts_backend(with_kwargs)
 
 
+#: Distance profiles that punish a wrong tie or masking rule.
+ADVERSARIAL_VALUES = [
+    np.zeros(100),  # all ties: id 0 must win everywhere
+    np.concatenate([np.full(50, 2.0), np.full(50, 1.0), np.full(50, 2.0)]),
+    np.arange(100.0)[::-1].copy(),
+    np.array([np.inf] * 30 + [3.0] + [np.inf] * 30),
+    np.array([-np.inf] * 9 + [1.0]),
+]
+
+
+def check_selections(values, dead=()):
+    """Engine farthest/nearest over 1-D records == argmax/argmin of the
+    reference distances over the live records (ties: lowest id)."""
+    X = np.asarray(values, dtype=np.float64)[:, None]
+    origin = np.zeros(1)
+    engine = ClusteringEngine(X)
+    dead = np.asarray(dead, dtype=np.int64)
+    with np.errstate(invalid="ignore"):  # inf - inf in the unused running sum
+        engine.kill(dead)
+    live = np.setdiff1d(np.arange(len(X)), dead)
+    d2 = sq_distances_to(X, origin)[live]
+    assert engine.farthest(origin) == int(live[np.argmax(d2)])
+    nearest, value = engine.nearest_with_value(origin)
+    assert nearest == int(live[np.argmin(d2)])
+    assert value == d2.min()
+
+
 class TestPrimitiveEquivalence:
-    """Threaded primitives == serial primitives, bitwise, ties included."""
+    """Serial primitives are invariant to row blocking, and the engine's
+    selections equal their references — ties included."""
 
-    @pytest.fixture(scope="class")
-    def backends(self):
-        return ComputeBackend(), threaded_for_tests(3)
-
-    def eval_both(self, backends, X, point, chunk_size=None):
-        serial, threaded = backends
+    def eval_sq(self, X, point, chunk_size=None):
         n = X.shape[0]
-        outs = []
-        for backend in (serial, threaded):
-            out, tmp = np.empty(n), np.empty(n)
-            backend.eval_sq_distances(X.T.copy(), point, out, tmp, n, chunk_size)
-            outs.append(out)
-        return outs
+        out, tmp = np.empty(n), np.empty(n)
+        SerialBackend().eval_sq_distances(X.T.copy(), point, out, tmp, n, chunk_size)
+        return out
 
-    @pytest.mark.parametrize("chunk_size", [None, 7, 64])
-    def test_eval_sq_distances_identical(self, backends, chunk_size):
+    @pytest.mark.parametrize("chunk_size", [None, 1, 7, 64])
+    def test_eval_sq_distances_identical(self, chunk_size):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((501, 4))
         point = rng.standard_normal(4)
-        out_s, out_t = self.eval_both(backends, X, point, chunk_size)
-        np.testing.assert_array_equal(out_s, out_t)
+        np.testing.assert_array_equal(
+            self.eval_sq(X, point, chunk_size), sq_distances_to(X, point)
+        )
 
-    def test_eval_sq_distances_integer_ties(self, backends):
+    def test_eval_sq_distances_integer_ties(self):
         rng = np.random.default_rng(1)
         X = rng.integers(0, 3, size=(300, 2)).astype(float)
-        out_s, out_t = self.eval_both(backends, X, X[5].copy())
-        np.testing.assert_array_equal(out_s, out_t)
+        reference = sq_distances_to(X, X[5])
+        assert (reference == 0.0).sum() > 1  # exact ties present
+        for chunk_size in (None, 1, 7):
+            out = self.eval_sq(X, X[5].copy(), chunk_size)
+            np.testing.assert_array_equal(out, reference)
 
-    @pytest.mark.parametrize(
-        "values",
-        [
-            np.zeros(100),  # all ties: index 0 must win everywhere
-            np.concatenate([np.full(50, 2.0), np.full(50, 1.0), np.full(50, 2.0)]),
-            np.arange(100.0)[::-1].copy(),
-            np.array([np.inf] * 30 + [3.0] + [np.inf] * 30),
-            np.array([-np.inf] * 9 + [1.0]),
-        ],
-    )
-    def test_argmin_argmax_identical(self, backends, values):
-        serial, threaded = backends
-        assert threaded.argmin(values) == serial.argmin(values) == int(np.argmin(values))
-        assert threaded.argmax(values) == serial.argmax(values) == int(np.argmax(values))
+    @pytest.mark.parametrize("values", ADVERSARIAL_VALUES)
+    def test_argmin_argmax_identical(self, values):
+        check_selections(values)
+        check_selections(values, dead=[0, 1])  # the tied winners masked out
+        check_selections(values, dead=[len(values) - 1])
 
-    def test_argminmax_random(self, backends):
-        serial, threaded = backends
+    def test_argminmax_random(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
-            values = rng.integers(0, 5, size=int(rng.integers(1, 200))).astype(float)
-            assert threaded.argmin(values) == int(np.argmin(values))
-            assert threaded.argmax(values) == int(np.argmax(values))
+            n = int(rng.integers(2, 200))
+            values = rng.integers(0, 5, size=n).astype(float)
+            dead = rng.choice(n, size=int(rng.integers(0, n)), replace=False)
+            check_selections(values, dead)
 
-    def test_kth_smallest_value(self, backends):
-        serial, threaded = backends
+    def test_kth_smallest_value(self):
+        """The argpartition bound behind ``k_nearest_sorted`` keeps every
+        boundary tie: its prefix is the stable (distance, id) sort's."""
         rng = np.random.default_rng(3)
         for _ in range(100):
-            n = int(rng.integers(1, 300))
-            values = rng.integers(0, 8, size=n).astype(float)
-            k = int(rng.integers(1, n + 1))
-            assert threaded.kth_smallest_value(values, k) == serial.kth_smallest_value(
-                values, k
+            n = int(rng.integers(2, 300))
+            X = rng.integers(0, 8, size=(n, 2)).astype(float)
+            engine = ClusteringEngine(X)
+            engine.kill(rng.choice(n, size=int(rng.integers(0, n - 1)), replace=False))
+            live = engine.alive_ids()
+            point = X[int(rng.integers(0, n))].copy()
+            k = int(rng.integers(1, live.size + 1))
+            order = np.lexsort((live, sq_distances_to(X[live], point)))
+            np.testing.assert_array_equal(
+                engine.k_nearest_sorted(k, point), live[order[:k]]
             )
 
-    def test_assign_nearest_identical_and_tie_rule(self, backends):
-        serial, threaded = backends
+    def test_assign_nearest_identical_and_tie_rule(self):
         rng = np.random.default_rng(4)
         reps = rng.integers(0, 3, size=(23, 3)).astype(float)
         reps[7] = reps[3]  # duplicated representative: lowest id must win
         X = np.vstack([reps, rng.integers(0, 3, size=(400, 3)).astype(float)])
-        out_s = serial.assign_nearest(X, reps)
-        out_t = threaded.assign_nearest(X, reps)
-        np.testing.assert_array_equal(out_s, out_t)
-        assert out_s[7] == 3  # the duplicate resolves to the lower cluster id
+        out = SerialBackend().assign_nearest(X, reps)
+        d2 = np.stack([sq_distances_to(X, rep) for rep in reps], axis=1)
+        np.testing.assert_array_equal(out, np.argmin(d2, axis=1))
+        assert out[7] == 3  # the duplicate resolves to the lower cluster id
 
-    def test_assign_nearest_validation(self, backends):
-        serial, threaded = backends
-        for backend in backends:
-            with pytest.raises(ValueError):
-                backend.assign_nearest(np.zeros((3, 2)), np.zeros((0, 2)))
-            with pytest.raises(ValueError):
-                backend.assign_nearest(np.zeros((3, 2)), np.zeros((4, 3)))
-
-    def test_threaded_close_is_idempotent_and_reusable(self):
-        backend = threaded_for_tests(2)
-        values = np.arange(100.0)
-        assert backend.argmin(values) == 0
-        backend.close()
-        backend.close()
-        assert backend.argmax(values) == 99  # pool is lazily recreated
-        backend.close()
+    def test_assign_nearest_validation(self):
+        backend = SerialBackend()
+        with pytest.raises(ValueError):
+            backend.assign_nearest(np.zeros((3, 2)), np.zeros((0, 2)))
+        with pytest.raises(ValueError):
+            backend.assign_nearest(np.zeros((3, 2)), np.zeros((4, 3)))
 
 
 def _ordered_tracker(rng, n=120):
@@ -285,7 +289,7 @@ class TestSwapEmdsBatch:
                 )
 
     def test_score_swaps_sharding_matches_one_call(self):
-        """The threaded backend's candidate shards concatenate bitwise."""
+        """Scoring rows are independent of which candidates share a call."""
         rng = np.random.default_rng(15)
         tracker, ref = _ordered_tracker(rng, n=200)
 
@@ -295,6 +299,10 @@ class TestSwapEmdsBatch:
 
         removes = tracker._member_bins.copy()
         adds = rng.integers(0, ref.m, size=40)
-        serial = ComputeBackend().score_swaps(TrackerSetLike(), removes, adds)
-        threaded = threaded_for_tests(3).score_swaps(TrackerSetLike(), removes, adds)
-        np.testing.assert_array_equal(serial, threaded)
+        backend = SerialBackend()
+        whole = backend.score_swaps(TrackerSetLike(), removes, adds)
+        pieces = [
+            backend.score_swaps(TrackerSetLike(), removes, adds[i : i + 7])
+            for i in range(0, adds.size, 7)
+        ]
+        np.testing.assert_array_equal(whole, np.vstack(pieces))

@@ -16,13 +16,14 @@ work identically, just slower.
 """
 
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from repro.backend import ThreadedBackend, _native, kernels, resolve_backend
+from repro.backend import SerialBackend, _native, kernels
 
-from ..backends import BACKENDS_UNDER_TEST
+from ..contexts import CONTEXTS
 
 
 def run_numpy(X, reps, *, block=None):
@@ -320,13 +321,14 @@ class TestIndexBuild:
             kernels.build_nearest_index(np.zeros(5))
 
 
-@pytest.mark.parametrize("backend", BACKENDS_UNDER_TEST)
+@pytest.mark.parametrize("run", CONTEXTS)
 class TestBackendsQueryTheIndex:
-    """``assign_nearest`` under all three backends, over a prebuilt index
-    and over a raw matrix, equals the numpy scan's assignments."""
+    """``assign_nearest`` over a prebuilt index and over a raw matrix
+    equals the numpy scan's assignments — on the calling thread, from two
+    threads sharing the index and in two forked processes."""
 
-    def test_tree_index_and_raw_matrix(self, backend):
-        backend = resolve_backend(backend)
+    def test_tree_index_and_raw_matrix(self, run):
+        backend = SerialBackend()
         rng = np.random.default_rng(31)
         reps = half_grid(rng, (1500, 3))
         reps[1200] = reps[40]
@@ -334,36 +336,56 @@ class TestBackendsQueryTheIndex:
         index = kernels.build_nearest_index(reps)
         assert index.depth > 0
         a_ref, _ = run_numpy(X, reps)
-        np.testing.assert_array_equal(backend.assign_nearest(X, index), a_ref)
-        np.testing.assert_array_equal(backend.assign_nearest(X, reps), a_ref)
+        for by_index, by_matrix in run(
+            lambda: (backend.assign_nearest(X, index), backend.assign_nearest(X, reps))
+        ):
+            np.testing.assert_array_equal(by_index, a_ref)
+            np.testing.assert_array_equal(by_matrix, a_ref)
 
-    def test_forced_deep_tree(self, backend):
-        backend = resolve_backend(backend)
+    def test_forced_deep_tree(self, run):
+        backend = SerialBackend()
         rng = np.random.default_rng(32)
         reps = rng.integers(0, 4, (256, 2)).astype(float)
         X = rng.integers(0, 4, (500, 2)).astype(float)
         a_ref, _ = run_numpy(X, reps)
         index = kernels._build_tree(reps, 8)  # one representative per leaf
-        np.testing.assert_array_equal(backend.assign_nearest(X, index), a_ref)
+        for assignment in run(lambda: backend.assign_nearest(X, index)):
+            np.testing.assert_array_equal(assignment, a_ref)
 
 
 def test_threaded_shards_share_one_index():
-    # More workers than cores, with a short switch interval: every shard
-    # reads the same index and writes its own slice of the output.
+    # More threads than cores, with a short switch interval: every thread
+    # queries its own row shard against the same index, the way serving's
+    # executor threads share one model's index.
     rng = np.random.default_rng(33)
     reps = half_grid(rng, (2000, 3))
     X = half_grid(rng, (6000, 3))
     index = kernels.build_nearest_index(reps)
     a_ref, _ = run_numpy(X, reps)
-    backend = ThreadedBackend(8, min_assign_rows=64)
+    backend = SerialBackend()
+    shards = np.array_split(np.arange(len(X)), 8)
+    results = [None] * len(shards)
+    start = threading.Barrier(len(shards))
+
+    def query(i):
+        start.wait(timeout=60)
+        results[i] = [backend.assign_nearest(X[shards[i]], index) for _ in range(5)]
+
+    threads = [threading.Thread(target=query, args=(i,)) for i in range(len(shards))]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(5):
-            np.testing.assert_array_equal(backend.assign_nearest(X, index), a_ref)
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-        backend.close()
+    assert not any(thread.is_alive() for thread in threads)
+    for rows, runs in zip(shards, results):
+        assert runs is not None  # the thread finished without raising
+        for assignment in runs:
+            np.testing.assert_array_equal(assignment, a_ref[rows])
 
 
 @native_only

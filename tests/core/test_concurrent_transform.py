@@ -2,15 +2,16 @@
 contract.
 
 A serving worker shares a single fitted model between many request
-threads.  ``transform``/``assign`` must therefore be reentrant: the
-transform-time state is read-only after fit, each call passes the
-backend explicitly, and the threaded/process backends' shared kernel
-buffers must not bleed state between overlapping calls.  This suite
-hammers one model from a thread pool under both parallel backends and
-requires every response to be bitwise identical to the serial reference
-— interleaving may change scheduling, never bits.
+threads (the batcher runs every assign on an executor thread).
+``transform``/``assign`` must therefore be reentrant: the transform-time
+state is read-only after fit and the serial backend holds no state.  This
+suite hammers one model from pools of eight threads — two pools in one
+process, or one pool in each of two forked processes — and requires every
+response to be bitwise identical to the single-threaded reference —
+interleaving may change scheduling, never bits.
 """
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -18,7 +19,7 @@ import pytest
 
 from repro import Anonymizer, KAnonymity, TCloseness
 
-from ..backends import process_for_tests, threaded_for_tests
+from ..contexts import CONTEXTS
 from .test_transform_vectorized import make_dataset
 
 N_THREADS = 8
@@ -37,54 +38,56 @@ def batches():
     return [make_dataset(400, seed, grid=True) for seed in range(4)]
 
 
-def share_fitted_state(fitted, backend):
-    """The suite's established pattern: same fitted state, another backend."""
-    model = Anonymizer(fitted.policy, backend=backend)
-    model.__dict__.update(
-        {k: v for k, v in fitted.__dict__.items() if k != "backend"}
-    )
-    return model
+@pytest.fixture
+def short_switch_interval():
+    """Switch threads as often as possible, so calls truly interleave."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
 
 
+def hammer(fn, jobs):
+    """``fn(job)`` for every job, from a pool of ``N_THREADS`` threads."""
+    with ThreadPoolExecutor(N_THREADS) as pool:
+        futures = [pool.submit(fn, job) for job in jobs]
+        return [future.result(timeout=60) for future in futures]
+
+
+@pytest.mark.usefixtures("short_switch_interval")
 @pytest.mark.parametrize(
-    "backend_factory",
-    [threaded_for_tests, process_for_tests],
-    ids=["threaded-2", "process-2"],
+    "run", [context for context in CONTEXTS if context.id != "serial"]
 )
 class TestConcurrentServing:
-    def test_concurrent_transform_bitwise(self, fitted, batches, backend_factory):
-        model = share_fitted_state(fitted, backend_factory())
-        references = [fitted.transform(b) for b in batches]
-        jobs = [(b, r) for b, r in zip(batches, references)] * ROUNDS
+    """Each worker of a parallel execution context (``tests.contexts``)
+    hammers the model from its own thread pool: two pools in one process,
+    or one pool in each of two forked processes (the multi-worker
+    server's shape)."""
 
-        with ThreadPoolExecutor(N_THREADS) as pool:
-            futures = [pool.submit(model.transform, batch) for batch, _ in jobs]
-            for (_, reference), future in zip(jobs, futures):
-                released = future.result()
+    def test_concurrent_transform_bitwise(self, fitted, batches, run):
+        references = [fitted.transform(b) for b in batches]
+        jobs = list(zip(batches, references)) * ROUNDS
+
+        for released in run(lambda: hammer(fitted.transform, [b for b, _ in jobs])):
+            for (_, reference), got in zip(jobs, released):
                 for name in reference.attribute_names:
                     np.testing.assert_array_equal(
-                        reference.values(name), released.values(name)
+                        reference.values(name), got.values(name)
                     )
 
-    def test_concurrent_assign_bitwise(self, fitted, batches, backend_factory):
-        model = share_fitted_state(fitted, backend_factory())
+    def test_concurrent_assign_bitwise(self, fitted, batches, run):
         references = [fitted.assign(b) for b in batches]
-        jobs = [(b, r) for b, r in zip(batches, references)] * ROUNDS
+        jobs = list(zip(batches, references)) * ROUNDS
 
-        with ThreadPoolExecutor(N_THREADS) as pool:
-            futures = [pool.submit(model.assign, batch) for batch, _ in jobs]
-            for (_, reference), future in zip(jobs, futures):
-                np.testing.assert_array_equal(reference, future.result())
+        for assigned in run(lambda: hammer(fitted.assign, [b for b, _ in jobs])):
+            for (_, reference), got in zip(jobs, assigned):
+                np.testing.assert_array_equal(reference, got)
 
-    def test_same_batch_from_every_thread(self, fitted, batches, backend_factory):
+    def test_same_batch_from_every_thread(self, fitted, batches, run):
         """All threads hammering ONE batch — maximal buffer contention."""
-        model = share_fitted_state(fitted, backend_factory())
         batch = batches[0]
         reference = fitted.assign(batch)
 
-        with ThreadPoolExecutor(N_THREADS) as pool:
-            futures = [
-                pool.submit(model.assign, batch) for _ in range(N_THREADS * 2)
-            ]
-            for future in futures:
-                np.testing.assert_array_equal(reference, future.result())
+        for assigned in run(lambda: hammer(fitted.assign, [batch] * (N_THREADS * 2))):
+            for got in assigned:
+                np.testing.assert_array_equal(reference, got)

@@ -3,24 +3,28 @@
 ``Anonymizer.assign`` used to scan the fitted representatives in a Python
 loop (one canonical-kernel dispatch per cluster, strict-less update); it
 now issues one backend-executed nearest-representative query
-(:meth:`repro.backend.ComputeBackend.assign_nearest`).  This suite pins
+(:meth:`repro.backend.SerialBackend.assign_nearest`).  This suite pins
 
 * bitwise equality of the new query against a re-implementation of the
   retired loop on a 10k-record serving batch (heavy exact ties included,
   where a changed tie rule would flip assignments);
-* serial/threaded equality of ``assign`` and ``transform``;
-* backend choice-independence across ``save``/``load``: a model fitted
-  and saved under one backend must transform identically when loaded
-  under any other.
+* equality of ``assign`` and ``transform`` called from two threads at
+  once with the single-threaded answers;
+* backend choice-independence: every form the ``backend=`` argument
+  takes — ``None``, ``"serial"`` or a substituted :class:`SerialBackend`
+  subclass — fits, saves/loads and transforms identically.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro import Anonymizer, KAnonymity, TCloseness
+from repro.backend import SerialBackend
 from repro.data import AttributeRole, Microdata, numeric
 
-from ..backends import threaded_for_tests
+from ..contexts import run_threaded
 
 BATCH_ROWS = 10_000
 
@@ -103,62 +107,65 @@ class TestAssignMatchesRetiredLoop:
         assert assignment.max() < fitted_grid.result_.partition.n_clusters
 
 
+class CountingBackend(SerialBackend):
+    """A substituted backend: counts the primitive calls it is handed."""
+
+    def __init__(self):
+        self.calls = Counter()
+
+    def eval_sq_distances(self, *args, **kwargs):
+        self.calls["eval_sq_distances"] += 1
+        return super().eval_sq_distances(*args, **kwargs)
+
+    def score_swaps(self, *args, **kwargs):
+        self.calls["score_swaps"] += 1
+        return super().score_swaps(*args, **kwargs)
+
+    def assign_nearest(self, *args, **kwargs):
+        self.calls["assign_nearest"] += 1
+        return super().assign_nearest(*args, **kwargs)
+
+
+def assert_same_release(expected, got):
+    for name in expected.attribute_names:
+        np.testing.assert_array_equal(expected.values(name), got.values(name))
+
+
 class TestBackendChoiceIndependence:
     def test_assign_serial_vs_threaded(self, fitted, batch_10k):
         serial = fitted.assign(batch_10k)
-        threaded_model = Anonymizer(
-            fitted.policy, backend=threaded_for_tests()
-        )
-        # Share the fitted state without refitting the clustering.
-        threaded_model.__dict__.update(
-            {k: v for k, v in fitted.__dict__.items() if k != "backend"}
-        )
-        np.testing.assert_array_equal(serial, threaded_model.assign(batch_10k))
+        for threaded in run_threaded(lambda: fitted.assign(batch_10k)):
+            np.testing.assert_array_equal(serial, threaded)
 
     def test_transform_serial_vs_threaded(self, fitted, batch_10k):
         released_serial = fitted.transform(batch_10k)
-        threaded_model = Anonymizer(
-            fitted.policy, backend=threaded_for_tests()
-        )
-        threaded_model.__dict__.update(
-            {k: v for k, v in fitted.__dict__.items() if k != "backend"}
-        )
-        released_threaded = threaded_model.transform(batch_10k)
-        for name in released_serial.attribute_names:
-            np.testing.assert_array_equal(
-                released_serial.values(name), released_threaded.values(name)
-            )
+        for released in run_threaded(lambda: fitted.transform(batch_10k)):
+            assert_same_release(released_serial, released)
 
     def test_save_load_transform_identical_under_any_backend(
         self, fitted, batch_10k, tmp_path
     ):
         npz, _ = fitted.save(tmp_path / "model.npz")
-        loaded_serial = Anonymizer.load(npz, backend="serial")
-        loaded_threaded = Anonymizer.load(npz, backend=threaded_for_tests())
         out_fitted = fitted.transform(batch_10k)
-        out_serial = loaded_serial.transform(batch_10k)
-        out_threaded = loaded_threaded.transform(batch_10k)
-        for name in out_fitted.attribute_names:
-            np.testing.assert_array_equal(
-                out_fitted.values(name), out_serial.values(name)
-            )
-            np.testing.assert_array_equal(
-                out_fitted.values(name), out_threaded.values(name)
-            )
+        substituted = CountingBackend()
+        for backend in (None, "serial", substituted):
+            loaded = Anonymizer.load(npz, backend=backend)
+            assert_same_release(out_fitted, loaded.transform(batch_10k))
+        assert substituted.calls["assign_nearest"] > 0
 
     def test_fit_identical_under_backends(self):
         data = make_dataset(300, 7, grid=True)
-        serial = Anonymizer(KAnonymity(4) & TCloseness(0.3)).fit(data)
-        threaded = Anonymizer(
-            KAnonymity(4) & TCloseness(0.3), backend=threaded_for_tests()
-        ).fit(data)
-        np.testing.assert_array_equal(
-            serial.result_.partition.labels, threaded.result_.partition.labels
-        )
-        np.testing.assert_array_equal(
-            serial.result_.cluster_emds, threaded.result_.cluster_emds
-        )
-        for name in serial.release_.attribute_names:
+        policy = KAnonymity(4) & TCloseness(0.3)
+        default = Anonymizer(policy).fit(data)
+        substituted = CountingBackend()
+        for backend in ("serial", substituted):
+            other = Anonymizer(policy, backend=backend).fit(data)
             np.testing.assert_array_equal(
-                serial.release_.values(name), threaded.release_.values(name)
+                default.result_.partition.labels, other.result_.partition.labels
             )
+            np.testing.assert_array_equal(
+                default.result_.cluster_emds, other.result_.cluster_emds
+            )
+            assert_same_release(default.release_, other.release_)
+        # The substituted instance really ran the fit's distance work.
+        assert substituted.calls["eval_sq_distances"] > 0

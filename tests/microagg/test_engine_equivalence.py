@@ -9,10 +9,9 @@ bit-for-bit — same clusters, same labels, same tie-breaking — across
 numeric and mixed quasi-identifier schemas, duplicate records (exact
 distance ties), and several (n, k, t) combinations.
 
-Every case runs under both registered compute backends
-(``tests.backends.BACKENDS_UNDER_TEST``): the threaded backend's sharded
-kernels and deterministic selection merges must reproduce the fixtures
-bit-for-bit too, with its parallel paths forced on by tiny shard floors.
+Every case runs in each execution context of ``tests.contexts.CONTEXTS``:
+on the calling thread, from two threads at once and in two forked
+processes — every copy must reproduce the fixtures bit-for-bit.
 """
 
 from pathlib import Path
@@ -24,7 +23,7 @@ from repro.core.kanon_first import kanonymity_first
 from repro.core.tclose_first import tcloseness_first
 from repro.microagg import mdav, vmdav
 
-from ..backends import BACKENDS_UNDER_TEST
+from ..contexts import CONTEXTS
 from .golden_datasets import (
     MATRIX_CASES,
     MICRODATA_CASES,
@@ -55,38 +54,38 @@ def test_fixture_is_complete(golden):
     assert set(golden) == expected
 
 
-@pytest.mark.parametrize("backend", BACKENDS_UNDER_TEST)
+@pytest.mark.parametrize("run", CONTEXTS)
 @pytest.mark.parametrize("case", [c[0] for c in MATRIX_CASES])
-def test_mdav_matches_reference(golden, case, backend):
+def test_mdav_matches_reference(golden, case, run):
     _, _, _, k = next(c for c in MATRIX_CASES if c[0] == case)
-    labels = mdav(matrix_case(case), k, backend=backend).labels
-    np.testing.assert_array_equal(labels, golden[f"mdav/{case}"])
+    X = matrix_case(case)
+    for labels in run(lambda: mdav(X, k).labels):
+        np.testing.assert_array_equal(labels, golden[f"mdav/{case}"])
 
 
-@pytest.mark.parametrize("backend", BACKENDS_UNDER_TEST)
+@pytest.mark.parametrize("run", CONTEXTS)
 @pytest.mark.parametrize("case", [c[0] for c in MATRIX_CASES])
 @pytest.mark.parametrize("gamma", VMDAV_GAMMAS)
-def test_vmdav_matches_reference(golden, case, gamma, backend):
+def test_vmdav_matches_reference(golden, case, gamma, run):
     _, _, _, k = next(c for c in MATRIX_CASES if c[0] == case)
-    labels = vmdav(matrix_case(case), k, gamma=gamma, backend=backend).labels
-    np.testing.assert_array_equal(labels, golden[f"vmdav/{case}/g{gamma}"])
+    X = matrix_case(case)
+    for labels in run(lambda: vmdav(X, k, gamma=gamma).labels):
+        np.testing.assert_array_equal(labels, golden[f"vmdav/{case}/g{gamma}"])
 
 
-@pytest.mark.parametrize("backend", BACKENDS_UNDER_TEST)
+@pytest.mark.parametrize("run", CONTEXTS)
 @pytest.mark.parametrize("case", [c[0] for c in MICRODATA_CASES])
-def test_kanon_first_matches_reference(golden, case, backend):
+def test_kanon_first_matches_reference(golden, case, run):
     _, _, k, t = next(c for c in MICRODATA_CASES if c[0] == case)
-    labels = kanonymity_first(
-        microdata_case(case), k, t, backend=backend
-    ).partition.labels
-    np.testing.assert_array_equal(labels, golden[f"kanon-first/{case}"])
+    data = microdata_case(case)
+    for labels in run(lambda: kanonymity_first(data, k, t).partition.labels):
+        np.testing.assert_array_equal(labels, golden[f"kanon-first/{case}"])
 
 
-@pytest.mark.parametrize("backend", BACKENDS_UNDER_TEST)
+@pytest.mark.parametrize("run", CONTEXTS)
 @pytest.mark.parametrize("case", [c[0] for c in MICRODATA_CASES])
-def test_tclose_first_matches_reference(golden, case, backend):
+def test_tclose_first_matches_reference(golden, case, run):
     _, _, k, t = next(c for c in MICRODATA_CASES if c[0] == case)
-    labels = tcloseness_first(
-        microdata_case(case), k, t, backend=backend
-    ).partition.labels
-    np.testing.assert_array_equal(labels, golden[f"tclose-first/{case}"])
+    data = microdata_case(case)
+    for labels in run(lambda: tcloseness_first(data, k, t).partition.labels):
+        np.testing.assert_array_equal(labels, golden[f"tclose-first/{case}"])

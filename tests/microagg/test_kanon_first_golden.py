@@ -16,11 +16,9 @@ incremental EMD engine must reproduce every decision:
   than the dense cumulative evaluation and may therefore differ in the
   last ulp.
 
-Every case runs under both registered compute backends
-(``tests.backends.BACKENDS_UNDER_TEST``), with the threaded backend's
-shard floors lowered so its parallel paths — including candidate-axis
-sharding of the speculative swap-scoring blocks — really execute on the
-fixture datasets.
+Every case runs in each execution context of ``tests.contexts.CONTEXTS``
+(calling thread, two threads at once, two forked processes), and every
+copy of the result must match the fixture.
 """
 
 from pathlib import Path
@@ -31,7 +29,7 @@ import pytest
 from repro.core.kanon_first import kanonymity_first
 from repro.core.merge import microaggregation_merge
 
-from ..backends import BACKENDS_UNDER_TEST
+from ..contexts import CONTEXTS
 from .golden_datasets import E2E_CASES, e2e_case
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "kanon_first_golden.npz"
@@ -66,45 +64,47 @@ def test_fixture_is_complete(golden):
     assert set(golden) == expected
 
 
-@pytest.mark.parametrize("backend", BACKENDS_UNDER_TEST)
+@pytest.mark.parametrize("run", CONTEXTS)
 @pytest.mark.parametrize("case", [c[0] for c in E2E_CASES])
-def test_kanon_first_end_to_end(golden, case, backend):
+def test_kanon_first_end_to_end(golden, case, run):
     data, k, t = case_params(case)
-    result = kanonymity_first(data, k, t, backend=backend)
-    np.testing.assert_array_equal(result.partition.labels, golden[f"{case}/labels"])
-    np.testing.assert_allclose(
-        result.cluster_emds, golden[f"{case}/emds"], atol=EMD_ATOL, rtol=0.0
-    )
-    n_swaps, n_merges, pre_merge = golden[f"{case}/counters"]
-    assert result.info["n_swaps"] == n_swaps
-    assert result.info["n_merges"] == n_merges
-    assert result.info["clusters_before_merge"] == pre_merge
+    for result in run(lambda: kanonymity_first(data, k, t)):
+        np.testing.assert_array_equal(
+            result.partition.labels, golden[f"{case}/labels"]
+        )
+        np.testing.assert_allclose(
+            result.cluster_emds, golden[f"{case}/emds"], atol=EMD_ATOL, rtol=0.0
+        )
+        n_swaps, n_merges, pre_merge = golden[f"{case}/counters"]
+        assert result.info["n_swaps"] == n_swaps
+        assert result.info["n_merges"] == n_merges
+        assert result.info["clusters_before_merge"] == pre_merge
 
 
-@pytest.mark.parametrize("backend", BACKENDS_UNDER_TEST)
+@pytest.mark.parametrize("run", CONTEXTS)
 @pytest.mark.parametrize("case", [c[0] for c in E2E_CASES])
-def test_kanon_first_raw_swap_phase(golden, case, backend):
+def test_kanon_first_raw_swap_phase(golden, case, run):
     """The swap phase alone (no merge fallback) is pinned separately."""
     data, k, t = case_params(case)
-    result = kanonymity_first(data, k, t, merge_fallback=False, backend=backend)
-    np.testing.assert_array_equal(
-        result.partition.labels, golden[f"{case}/raw/labels"]
-    )
-    np.testing.assert_allclose(
-        result.cluster_emds, golden[f"{case}/raw/emds"], atol=EMD_ATOL, rtol=0.0
-    )
+    for result in run(lambda: kanonymity_first(data, k, t, merge_fallback=False)):
+        np.testing.assert_array_equal(
+            result.partition.labels, golden[f"{case}/raw/labels"]
+        )
+        np.testing.assert_allclose(
+            result.cluster_emds, golden[f"{case}/raw/emds"], atol=EMD_ATOL, rtol=0.0
+        )
 
 
-@pytest.mark.parametrize("backend", BACKENDS_UNDER_TEST)
+@pytest.mark.parametrize("run", CONTEXTS)
 @pytest.mark.parametrize("case", [c[0] for c in E2E_CASES])
-def test_algorithm1_merge_phase(golden, case, backend):
+def test_algorithm1_merge_phase(golden, case, run):
     """Algorithm 1 exercises the rewritten merge loop from a MDAV start."""
     data, k, t = case_params(case)
-    result = microaggregation_merge(data, k, t, backend=backend)
-    np.testing.assert_array_equal(
-        result.partition.labels, golden[f"{case}/alg1/labels"]
-    )
-    np.testing.assert_allclose(
-        result.cluster_emds, golden[f"{case}/alg1/emds"], atol=EMD_ATOL, rtol=0.0
-    )
-    assert result.info["n_merges"] == golden[f"{case}/alg1/counters"][0]
+    for result in run(lambda: microaggregation_merge(data, k, t)):
+        np.testing.assert_array_equal(
+            result.partition.labels, golden[f"{case}/alg1/labels"]
+        )
+        np.testing.assert_allclose(
+            result.cluster_emds, golden[f"{case}/alg1/emds"], atol=EMD_ATOL, rtol=0.0
+        )
+        assert result.info["n_merges"] == golden[f"{case}/alg1/counters"][0]

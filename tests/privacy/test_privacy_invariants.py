@@ -20,11 +20,11 @@ The four paths: Algorithm 1 over MDAV, Algorithm 1 over V-MDAV,
 Algorithm 2 (kanon-first, swap refinement + merge fallback) and
 Algorithm 3 (tclose-first, t-close by construction).
 
-The main invariant test additionally runs every path under both
-registered compute backends (``tests.backends.BACKENDS_UNDER_TEST``), so
-the formal guarantees are asserted over the threaded backend's sharded
-kernels and scoring blocks across the full generated input space — not
-just on the fixed golden datasets.
+The main invariant tests additionally run every path in each execution
+context of ``tests.contexts.CONTEXTS`` (calling thread, two threads at
+once, two forked processes), so the formal guarantees are asserted on
+every copy across the full generated input space — not just on the fixed
+golden datasets.
 """
 
 import numpy as np
@@ -37,7 +37,7 @@ from repro.core.tclose_first import tcloseness_first
 from repro.microagg import vmdav
 from repro.privacy.tcloseness import is_t_close, t_closeness_level
 
-from ..backends import BACKENDS_UNDER_TEST
+from ..contexts import CONTEXTS
 from ..strategies import microdata
 
 #: Sensitive kinds with a single rankable column — Algorithm 3's input
@@ -45,24 +45,12 @@ from ..strategies import microdata
 RANKABLE_KINDS = ("numeric", "numeric-tied", "ordinal")
 
 RUNNERS = {
-    "merge-mdav": lambda data, k, t, backend=None: microaggregation_merge(
-        data, k, t, backend=backend
+    "merge-mdav": microaggregation_merge,
+    "merge-vmdav": lambda data, k, t: microaggregation_merge(
+        data, k, t, partitioner=lambda X, kk: vmdav(X, kk, gamma=0.2)
     ),
-    "merge-vmdav": lambda data, k, t, backend=None: microaggregation_merge(
-        data,
-        k,
-        t,
-        partitioner=lambda X, kk, backend=backend: vmdav(
-            X, kk, gamma=0.2, backend=backend
-        ),
-        backend=backend,
-    ),
-    "kanon-first": lambda data, k, t, backend=None: kanonymity_first(
-        data, k, t, backend=backend
-    ),
-    "tclose-first": lambda data, k, t, backend=None: tcloseness_first(
-        data, k, t, backend=backend
-    ),
+    "kanon-first": kanonymity_first,
+    "tclose-first": tcloseness_first,
 }
 
 
@@ -82,7 +70,7 @@ def assert_privacy_invariants(data, result, k, t):
     assert result.max_emd <= t + 1e-9
 
 
-@pytest.mark.parametrize("backend", BACKENDS_UNDER_TEST)
+@pytest.mark.parametrize("run", CONTEXTS)
 @pytest.mark.parametrize("name", ["merge-mdav", "merge-vmdav", "kanon-first"])
 @settings(max_examples=25)
 @given(
@@ -90,19 +78,19 @@ def assert_privacy_invariants(data, result, k, t):
     k=st.integers(2, 5),
     t=st.floats(0.05, 0.5),
 )
-def test_privacy_invariants(name, backend, data, k, t):
-    result = RUNNERS[name](data, k, t, backend=backend)
-    assert_privacy_invariants(data, result, k, t)
+def test_privacy_invariants(name, run, data, k, t):
+    for result in run(lambda: RUNNERS[name](data, k, t)):
+        assert_privacy_invariants(data, result, k, t)
 
 
-@pytest.mark.parametrize("backend", BACKENDS_UNDER_TEST)
+@pytest.mark.parametrize("run", CONTEXTS)
 @settings(max_examples=25)
 @given(
     data=microdata(confidential="numeric"),
     k=st.integers(2, 5),
     t=st.floats(0.05, 0.5),
 )
-def test_privacy_invariants_tclose_first(backend, data, k, t):
+def test_privacy_invariants_tclose_first(run, data, k, t):
     """Tie-free confidential values, *release path*: rank and distinct EMD
     coincide, so Proposition 2 covers every one-record-per-bucket cluster —
     but the extra-record rule (the ``n mod k'`` leftovers parked centrally,
@@ -110,8 +98,8 @@ def test_privacy_invariants_tclose_first(backend, data, k, t):
     cluster holding an extra record can exceed t.  The release lifecycle
     repairs exactly that (``repro.core.repair``), so the released partition
     must always pass the dense verifier."""
-    _, result = anonymize(data, k, t, method="tclose-first", backend=backend)
-    assert_privacy_invariants(data, result, k, t)
+    for _, result in run(lambda: anonymize(data, k, t, method="tclose-first")):
+        assert_privacy_invariants(data, result, k, t)
 
 
 @settings(max_examples=25)

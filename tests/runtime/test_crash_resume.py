@@ -6,13 +6,14 @@ a checkpoint's temp write and its rename — and then resumed produces
 labels, EMDs and counters **bit-for-bit identical** to an uninterrupted
 run.  The matrix kills fits at every planted fault point across the
 algorithm paths (Algorithm 2 / kanon-first, Algorithm 3 / tclose-first,
-Algorithm 1 / merge, and the policy-repair merge loop) and both
-backends, plus honest ``os._exit`` process kills through the CLI.
+Algorithm 1 / merge, and the policy-repair merge loop), fits killed on a
+worker thread, plus honest ``os._exit`` process kills through the CLI.
 """
 
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,8 @@ from repro.runtime import (
     faults,
 )
 from repro.runtime.faults import EXIT_CODE, InjectedFault
+
+from ..contexts import run_serial, run_threaded
 
 #: Tight cadences so even a 200-record fit crosses many checkpoints.
 CADENCE = dict(checkpoint_every_swaps=40, checkpoint_every_merges=2)
@@ -48,21 +51,27 @@ def goldens(mcd_small):
     }
 
 
-def crash_then_resume(data, golden, method, spec, directory, *, backend=None):
-    """Kill a checkpointed fit at ``spec``, resume, assert bitwise equality."""
+def crash_then_resume(data, golden, method, spec, directory, *, run=run_serial):
+    """Kill a checkpointed fit at ``spec``, resume, assert bitwise equality.
+
+    ``run`` is the execution context (``tests.contexts``) the killed fit
+    runs in; the resume always runs on the calling thread.
+    """
     ck = Path(directory) / "ck"
     faults.arm_from_spec(spec)
     died = False
     try:
-        Anonymizer(golden.policy, method=method, backend=backend).fit(
-            data, checkpoint=ck, **CADENCE
+        run(
+            lambda: Anonymizer(golden.policy, method=method).fit(
+                data, checkpoint=ck, **CADENCE
+            )
         )
     except InjectedFault:
         died = True
     finally:
         faults.clear()
     assert died, f"fault {spec!r} never fired on {method}"
-    resumed = Anonymizer.resume(ck, backend=backend)
+    resumed = Anonymizer.resume(ck)
     assert_bitwise_equal(resumed, golden)
     return resumed
 
@@ -176,8 +185,9 @@ class TestMergeMatrix:
 
 
 class TestThreadedBackendMatrix:
-    """The resume guarantee holds under the threaded backend, and a run
-    killed under one backend matches the serial golden (backend identity)."""
+    """The resume guarantee holds for a fit killed on a worker thread (as a
+    fit submitted to an executor runs): resumed on the calling thread, it
+    matches the golden bit-for-bit."""
 
     @pytest.mark.parametrize(
         "spec", ["alg2.swap@200", "merge.step@5", "fit.phase:cluster"]
@@ -189,7 +199,7 @@ class TestThreadedBackendMatrix:
             "kanon-first",
             spec,
             tmp_path,
-            backend="threaded",
+            run=partial(run_threaded, workers=1),
         )
 
 

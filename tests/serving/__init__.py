@@ -1,1 +1,1 @@
-"""Test package (enables intra-suite imports like tests.backends)."""
+"""Test package (enables intra-suite imports like tests.strategies)."""

@@ -12,7 +12,6 @@ import pytest
 
 from repro import Anonymizer, KAnonymity, TCloseness
 from repro.data import AttributeRole, Microdata, numeric
-from repro.serving import TransformModel
 
 
 def make_dataset(n: int, seed: int) -> Microdata:
@@ -26,28 +25,6 @@ def make_dataset(n: int, seed: int) -> Microdata:
     columns["secret"] = rng.permutation(np.arange(float(n)))
     schema.append(numeric("secret", role=AttributeRole.CONFIDENTIAL))
     return Microdata(columns, schema)
-
-
-def with_backend(fitted: Anonymizer, backend) -> TransformModel:
-    """The fitted model's serving split rebuilt onto another backend.
-
-    Shares every array with the source (no refit, no copy); only the
-    execution backend differs — which, per the bit-for-bit contract, must
-    not change any result.
-    """
-    base = fitted.transform_model_
-    return TransformModel(
-        schema=base.schema,
-        qi_names=base.qi_names,
-        representatives=base.representatives,
-        encoder=base.encoder,
-        policy=base.policy,
-        method=base.method,
-        algorithm=base.algorithm,
-        report=base.report,
-        backend=backend,
-        encoded_representatives=base.encoded_representatives,
-    )
 
 
 @pytest.fixture(scope="module")

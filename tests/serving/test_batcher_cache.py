@@ -1,12 +1,12 @@
-"""Coalescing batcher + transform cache: bit-for-bit under every backend.
+"""Coalescing batcher + transform cache: bit-for-bit equal to direct.
 
 The serving acceptance criterion, pinned directly: responses assembled
 through request coalescing (arbitrary batching boundaries, size- and
 deadline-triggered flushes) and through cache hits/misses are bitwise
-identical to a direct ``assign_encoded`` on the same rows — under the
-serial, threaded and process backends alike.  Plus the LRU cache's own
-unit contract: bounded size, recency eviction, transparent when
-disabled.
+identical to a direct ``assign_encoded`` on the same rows — from the
+calling thread, from two threads at once and in two forked processes
+(``tests.contexts``).  Plus the LRU cache's own unit contract: bounded
+size, recency eviction, transparent when disabled.
 """
 
 import asyncio
@@ -16,8 +16,7 @@ import pytest
 
 from repro.serving import CoalescingBatcher, ServingMetrics, TransformCache
 
-from ..backends import BACKENDS_UNDER_TEST
-from .conftest import with_backend
+from ..contexts import CONTEXTS
 
 
 def gather(*coros):
@@ -40,49 +39,58 @@ def uneven_chunks(encoded):
     return [c for c in chunks if len(c)]
 
 
-@pytest.mark.parametrize("backend", BACKENDS_UNDER_TEST)
+@pytest.mark.parametrize("run", CONTEXTS)
 class TestDifferentialAcrossBackends:
-    def test_coalesced_equals_direct(self, fitted, batch, backend):
-        model = with_backend(fitted, backend)
+    """Each worker of an execution context (``tests.contexts``) serves the
+    rows through its own batcher over the one shared model; every worker's
+    responses must equal the direct assignment bitwise."""
+
+    def test_coalesced_equals_direct(self, fitted, batch, run):
+        model = fitted.transform_model_
         encoded = model.encode_batch(batch)
         direct = model.assign_encoded(encoded)
-        metrics = ServingMetrics()
-        batcher = CoalescingBatcher(
-            model,
-            max_batch_rows=64,  # several size-triggered flushes mid-run
-            max_wait_ms=5.0,
-            cache=TransformCache(max_size=4096),
-            metrics=metrics,
-        )
         chunks = uneven_chunks(encoded)
         offsets = np.cumsum([0] + [len(c) for c in chunks])
 
-        # Cold pass: all misses, mixed flush triggers.
-        cold = gather(*[batcher.assign(c) for c in chunks])
-        for lo, hi, result in zip(offsets, offsets[1:], cold):
-            np.testing.assert_array_equal(result, direct[lo:hi])
+        def serve():
+            metrics = ServingMetrics()
+            batcher = CoalescingBatcher(
+                model,
+                max_batch_rows=64,  # several size-triggered flushes mid-run
+                max_wait_ms=5.0,
+                cache=TransformCache(max_size=4096),
+                metrics=metrics,
+            )
+            # Cold pass: all misses, mixed flush triggers.
+            cold = gather(*[batcher.assign(c) for c in chunks])
+            # Hot pass: repeats now resolve from the cache — same bits.
+            hot = gather(*[batcher.assign(c) for c in chunks])
+            return cold, hot, metrics.snapshot()
 
-        # Hot pass: repeats now resolve from the cache — same bits.
-        hot = gather(*[batcher.assign(c) for c in chunks])
-        for lo, hi, result in zip(offsets, offsets[1:], hot):
-            np.testing.assert_array_equal(result, direct[lo:hi])
+        for cold, hot, snap in run(serve):
+            for responses in (cold, hot):
+                for lo, hi, result in zip(offsets, offsets[1:], responses):
+                    np.testing.assert_array_equal(result, direct[lo:hi])
+            assert snap["batches"]["max_requests_coalesced"] > 1
+            assert snap["cache"]["hits"] > 0
 
-        snap = metrics.snapshot()
-        assert snap["batches"]["max_requests_coalesced"] > 1
-        assert snap["cache"]["hits"] > 0
-
-    def test_cache_only_pass_equals_direct(self, fitted, batch, backend):
-        model = with_backend(fitted, backend)
+    def test_cache_only_pass_equals_direct(self, fitted, batch, run):
+        model = fitted.transform_model_
         encoded = model.encode_batch(batch)
         direct = model.assign_encoded(encoded)
-        cache = TransformCache(max_size=len(encoded) + 1)
-        batcher = CoalescingBatcher(model, max_wait_ms=1.0, cache=cache)
-        first = gather(batcher.assign(encoded))[0]
-        hits_before = cache.hits
-        second = gather(batcher.assign(encoded))[0]
-        np.testing.assert_array_equal(first, direct)
-        np.testing.assert_array_equal(second, direct)
-        assert cache.hits == hits_before + len(encoded)
+
+        def serve():
+            cache = TransformCache(max_size=len(encoded) + 1)
+            batcher = CoalescingBatcher(model, max_wait_ms=1.0, cache=cache)
+            first = gather(batcher.assign(encoded))[0]
+            hits_before = cache.hits
+            second = gather(batcher.assign(encoded))[0]
+            return first, second, cache.hits - hits_before
+
+        for first, second, new_hits in run(serve):
+            np.testing.assert_array_equal(first, direct)
+            np.testing.assert_array_equal(second, direct)
+            assert new_hits == len(encoded)
 
 
 class TestBatcherMechanics:
@@ -200,7 +208,7 @@ class TestTransformCacheUnit:
 class TestOverloadAdmission:
     def test_empty_queue_always_admits(self, fitted, batch):
         """A lone request bigger than the bound still runs (no deadlock)."""
-        model = with_backend(fitted, "serial")
+        model = fitted.transform_model_
         encoded = model.encode_batch(batch)
         batcher = CoalescingBatcher(
             model, max_wait_ms=1.0, max_queue_rows=10
@@ -212,7 +220,7 @@ class TestOverloadAdmission:
     def test_overflow_raises_typed_error(self, fitted, batch):
         from repro.serving import OverloadedError
 
-        model = with_backend(fitted, "serial")
+        model = fitted.transform_model_
         encoded = model.encode_batch(batch)
         metrics = ServingMetrics()
         # A huge deadline so the first request is still pending when the
@@ -247,7 +255,7 @@ class TestOverloadAdmission:
     def test_rejected_request_succeeds_on_retry(self, fitted, batch):
         from repro.serving import OverloadedError
 
-        model = with_backend(fitted, "serial")
+        model = fitted.transform_model_
         encoded = model.encode_batch(batch)
         direct = model.assign_encoded(encoded)
         batcher = CoalescingBatcher(
@@ -275,7 +283,7 @@ class TestOverloadAdmission:
         np.testing.assert_array_equal(retried, direct)
 
     def test_unbounded_by_default(self, fitted, batch):
-        model = with_backend(fitted, "serial")
+        model = fitted.transform_model_
         encoded = model.encode_batch(batch)
         batcher = CoalescingBatcher(
             model, max_batch_rows=100_000, max_wait_ms=5.0
@@ -288,7 +296,7 @@ class TestOverloadAdmission:
         np.testing.assert_array_equal(stitched, direct)
 
     def test_negative_bound_rejected(self, fitted):
-        model = with_backend(fitted, "serial")
+        model = fitted.transform_model_
         with pytest.raises(ValueError, match="max_queue_rows"):
             CoalescingBatcher(model, max_queue_rows=-1)
 

@@ -6,7 +6,7 @@ the shared fitted model, then pins the fleet-level contracts:
 
 * transform responses are **bit-for-bit** identical to
   ``Anonymizer.transform`` on the same rows no matter which worker
-  answers, under every compute backend;
+  answers, or how many clients ask at once;
 * ``/metrics`` merges per-worker snapshots — request/row totals equal
   the traffic actually sent, and the ``workers`` field counts the
   fleet;
@@ -29,6 +29,8 @@ from pathlib import Path
 import pytest
 
 from repro.serving import HttpClient, ModelRegistry
+
+from ..contexts import run_forked, run_serial, run_threaded
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -99,10 +101,19 @@ def records_of(batch):
     }
 
 
-@pytest.mark.parametrize("backend", ["serial", "threaded", "process"])
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(run_serial, id="serial"),
+        pytest.param(run_threaded, id="threaded"),
+        pytest.param(run_forked, id="process"),
+    ],
+)
 def test_two_workers_bitwise_equal_direct_transform(
-    registry_dir, fitted, batch, backend
+    registry_dir, fitted, batch, run
 ):
+    """Clients on one thread, on two threads at once, or in two forked
+    processes at once (``tests.contexts``) all get the direct bits."""
     proc, port = spawn_server(
         [
             sys.executable,
@@ -115,28 +126,30 @@ def test_two_workers_bitwise_equal_direct_transform(
             "0",
             "--workers",
             "2",
-            "--backend",
-            backend,
         ]
     )
     try:
         pids = wait_for_both_workers(port)
         direct = fitted.transform(batch)
         payload = {"records": records_of(batch)}
-        answered_by = set()
-        with HttpClient("127.0.0.1", port, timeout=30.0) as client:
-            for _ in range(4):
-                status, body = client.request(
-                    "POST", "/v1/transform", payload
-                )
+
+        def client_session():
+            answers = []
+            with HttpClient("127.0.0.1", port, timeout=30.0) as client:
+                for _ in range(4):
+                    status, body = client.request("POST", "/v1/transform", payload)
+                    _, health = client.request("GET", "/healthz")
+                    answers.append((status, body, health["pid"]))
+            return answers
+
+        for answers in run(client_session):
+            for status, body, pid in answers:
                 assert status == 200, body
                 for name in direct.attribute_names:
                     assert (
                         body["records"][name] == direct.labels(name).tolist()
                     )
-                status, health = client.request("GET", "/healthz")
-                answered_by.add(health["pid"])
-        assert answered_by <= pids
+                assert pid in pids
     finally:
         code, out = stop_server(proc)
     assert code == 0, out

@@ -246,6 +246,35 @@ class TestRequireFlag:
         assert "no privacy requirements" in capsys.readouterr().err
 
 
+class TestBadInput:
+    """Unusable input is one ``error:`` line on stderr and exit 2."""
+
+    @pytest.mark.parametrize("command", ["anonymize", "audit"])
+    def test_unknown_column_is_a_clean_error(
+        self, census_csv, tmp_path, capsys, command
+    ):
+        argv = [command, str(census_csv)]
+        if command == "anonymize":
+            argv += [str(tmp_path / "o.csv"), "-k", "3", "-t", "0.2"]
+        code = main(argv + ["--qi", "TAXINC,TAXINX", "--confidential", "FEDTAX"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "TAXINX" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["anonymize", "audit"])
+    def test_missing_input_is_a_clean_error(self, tmp_path, capsys, command):
+        missing = tmp_path / "missing.csv"
+        argv = [command, str(missing)]
+        if command == "anonymize":
+            argv += [str(tmp_path / "o.csv"), "-k", "3", "-t", "0.2"]
+        code = main(argv + ["--qi", "TAXINC", "--confidential", "FEDTAX"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing.csv" in err
+        assert err.count("\n") == 1
+
+
 class TestFitApplyCommands:
     def test_fit_then_apply_round_trip(self, census_csv, tmp_path, capsys):
         model = tmp_path / "model.npz"
