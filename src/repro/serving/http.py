@@ -268,11 +268,18 @@ def render_response(
 ) -> bytes:
     """Serialize one complete JSON response with explicit framing.
 
+    A ``bytes`` payload is already-encoded JSON and is sent as is; any
+    other payload is encoded as ``json.dumps(payload, sort_keys=True)``.
+    Both get the same trailing newline and framing, so a bytes payload
+    equal to that encoding yields the identical response.
     ``Content-Length`` is always present, so clients can frame responses
     on a persistent connection; ``Connection`` reflects whether the
     server will keep this connection open.
     """
-    body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+    if isinstance(payload, bytes):
+        body = payload
+    else:
+        body = json.dumps(payload, sort_keys=True).encode("utf-8")
     reason = _REASONS.get(status, "Unknown")
     extra = ""
     if headers:
@@ -280,12 +287,12 @@ def render_response(
     head = (
         f"HTTP/1.1 {status} {reason}\r\n"
         "Content-Type: application/json\r\n"
-        f"Content-Length: {len(body)}\r\n"
+        f"Content-Length: {len(body) + 1}\r\n"
         f"{extra}"
         f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
         "\r\n"
     ).encode("latin-1")
-    return head + body
+    return b"".join((head, body, b"\n"))
 
 
 async def write_response(

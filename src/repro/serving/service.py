@@ -30,6 +30,19 @@ between requests without dropping the listener: in-flight batches
 finish against the model they were queued under, and the hottest cached
 rows are replayed into the new model's cache before the swap completes.
 
+Responses are pre-rendered.  Microaggregation releases each record's
+quasi-identifiers as its cluster's representative, so every QI value a
+transform returns is one of the model's R representative rows.  When a
+model is loaded, :func:`qi_fragments` renders each representative's
+label per QI column as ``json.dumps`` text once; a transform body is
+then a bytes join of those fragments by assignment, and only the
+pass-through columns, the assignments and the names are encoded per
+request.  The body is byte-identical to ``json.dumps(payload,
+sort_keys=True)`` of the dict the endpoint describes, which the
+differential serving tests pin.  Fitting never builds the fragments:
+only a served model pays their memory (about 1.1 MB at 5,000
+representatives by 4 QI columns, per worker process).
+
 Under overload the service degrades loudly instead of slowly: beyond
 the bounded admission queue, requests get a typed ``429`` JSON error
 with ``Retry-After`` (see
@@ -73,10 +86,37 @@ from .model import TransformModel
 from .registry import ModelRegistry, ModelRegistryError
 
 
-class _LiveModel:
-    """One served model: its version, transform state, cache and batcher."""
+def qi_fragments(model: TransformModel) -> dict[str, list[bytes]]:
+    """Each representative's release label per QI column, as JSON bytes.
 
-    __slots__ = ("name", "version", "model", "cache", "batcher")
+    Entry ``[name][r]`` is ``json.dumps`` of the label
+    ``apply_assignment(batch, ids).labels(name)`` yields for a row
+    assigned to representative ``r``: the representative values go
+    through the same column coercion and label decoding, so a response
+    joined from these fragments has the bytes ``json.dumps`` would give.
+    """
+    specs = {spec.name: spec for spec in model.schema}
+    representatives = Microdata(
+        {
+            name: model.representatives[:, j]
+            for j, name in enumerate(model.qi_names)
+        },
+        [specs[name] for name in model.qi_names],
+    )
+    return {
+        name: [
+            json.dumps(label).encode()
+            for label in representatives.labels(name).tolist()
+        ]
+        for name in model.qi_names
+    }
+
+
+class _LiveModel:
+    """One served model: its version, transform state, cache, batcher and
+    the pre-rendered QI fragments of its responses."""
+
+    __slots__ = ("name", "version", "model", "cache", "batcher", "fragments")
 
     def __init__(
         self,
@@ -85,12 +125,14 @@ class _LiveModel:
         model: TransformModel,
         cache: TransformCache,
         batcher: CoalescingBatcher,
+        fragments: dict[str, list[bytes]],
     ) -> None:
         self.name = name
         self.version = version
         self.model = model
         self.cache = cache
         self.batcher = batcher
+        self.fragments = fragments
 
 
 class AnonymizationService:
@@ -129,8 +171,9 @@ class AnonymizationService:
         :class:`~repro.serving.http.ConnectionLimits`).
     metrics_dir:
         Multi-worker metrics directory: when set, this worker persists
-        its snapshot to ``metrics-<pid>.json`` in it after every request
-        and ``/metrics`` merges every worker's file at scrape time.
+        its snapshot to ``metrics-<pid>.json`` in it before it reports
+        ready and after every request, and ``/metrics`` merges every
+        worker's file at scrape time.
     watch_registry_s:
         Poll the registry's ACTIVE pointers this often (seconds) and hot
         swap on change — how sibling workers observe an activate or
@@ -195,14 +238,17 @@ class AnonymizationService:
         """Load ``name``'s active version and swap it live.
 
         The fresh model gets a fresh cache (entries keyed on the old
-        version's encoding must not answer for the new one) and a fresh
-        batcher.  Before the swap completes, the old cache's hottest
-        encoded rows are replayed through the *new* model
-        (:meth:`_warm_cache`) so the post-swap hit rate does not fall off
-        a cliff; the stored results are computed by the new model, so the
-        bit-for-bit contract is untouched.  The swap itself is a single
-        dict assignment on the event-loop thread, so requests observe
-        either the old model or the new one, never a mixture.
+        version's encoding must not answer for the new one), a fresh
+        batcher and its own response fragments (:func:`qi_fragments`;
+        the old model's must never answer for the new one either).
+        Before the swap completes, the old cache's hottest encoded rows
+        are replayed through the *new* model (:meth:`_warm_cache`) so the
+        post-swap hit rate does not fall off a cliff; the stored results
+        are computed by the new model, so the bit-for-bit contract is
+        untouched.  The swap itself is a single dict assignment on the
+        event-loop thread, so requests observe either the old model or
+        the new one, never a mixture; an in-flight request renders with
+        the live model it resolved.
         """
         version = self.registry.active_version(name)
         if version is None:
@@ -224,7 +270,9 @@ class AnonymizationService:
             cache=cache,
             metrics=self.metrics,
         )
-        live = _LiveModel(name, version, model, cache, batcher)
+        live = _LiveModel(
+            name, version, model, cache, batcher, qi_fragments(model)
+        )
         self._models[name] = live
         return live
 
@@ -276,8 +324,15 @@ class AnonymizationService:
 
     # -- request handling ----------------------------------------------------------
 
-    async def handle(self, request: Request) -> tuple[str, int, dict, int]:
-        """Route one request; return ``(endpoint, status, payload, rows)``."""
+    async def handle(
+        self, request: Request
+    ) -> tuple[str, int, dict | bytes, int]:
+        """Route one request; return ``(endpoint, status, payload, rows)``.
+
+        ``payload`` is a dict to encode, or for ``/v1/transform`` and
+        ``/v1/assign`` the already-encoded JSON body as bytes; either way
+        :func:`~repro.serving.http.render_response` frames it.
+        """
         path = request.path.rstrip("/") or "/"
         try:
             if path == "/healthz":
@@ -383,8 +438,20 @@ class AnonymizationService:
 
     async def _transform(
         self, request: Request, *, assign_only: bool
-    ) -> tuple[dict, int]:
-        """Shared body of ``/v1/transform`` and ``/v1/assign``."""
+    ) -> tuple[bytes, int]:
+        """Shared body of ``/v1/transform`` and ``/v1/assign``.
+
+        Returns the response as already-encoded JSON bytes: the text of
+        ``json.dumps(out, sort_keys=True)`` for the payload ``out`` with
+        keys ``assignments``, ``model``, ``n_records``, ``version`` and,
+        for a transform, ``records`` — the release batch
+        ``apply_assignment`` builds, one label list per column.  Each QI
+        column is joined from the live model's pre-rendered fragments
+        (:func:`qi_fragments`) by assignment, so only the pass-through
+        columns, the assignments and the names are encoded per request.
+        The fragments come from the same ``live`` that assigned the
+        rows, so a hot swap mid-request cannot mix two models.
+        """
         payload = request.json()
         records = payload.get("records")
         if not isinstance(records, dict) or not records:
@@ -399,25 +466,36 @@ class AnonymizationService:
         encoded = model.encode_batch(batch)
         assignment = await live.batcher.assign(encoded)
         n = int(len(batch))
-        out: dict = {
-            "model": live.name,
-            "version": live.version,
-            "n_records": n,
-            "assignments": assignment.tolist(),
-        }
+        ids = assignment.tolist()
+        parts = [
+            b'{"assignments": ',
+            json.dumps(ids).encode(),
+            b', "model": ',
+            json.dumps(live.name).encode(),
+            b', "n_records": ',
+            str(n).encode(),
+        ]
         if not assign_only:
-            release = model.apply_assignment(batch, assignment)
-            out["records"] = {
-                name: release.labels(name).tolist()
-                for name in release.attribute_names
-            }
-        return out, n
+            # Identifier columns never reach the batch (batch_schema drops
+            # them), so the release's columns are the batch's.
+            columns = []
+            for name in sorted(batch.attribute_names):
+                fragments = live.fragments.get(name)
+                if fragments is None:
+                    column = json.dumps(batch.labels(name).tolist()).encode()
+                else:
+                    joined = b", ".join(map(fragments.__getitem__, ids))
+                    column = b"[" + joined + b"]"
+                columns.append(json.dumps(name).encode() + b": " + column)
+            parts += [b', "records": {', b", ".join(columns), b"}"]
+        parts += [b', "version": ', json.dumps(live.version).encode(), b"}"]
+        return b"".join(parts), n
 
     # -- the connection loop -------------------------------------------------------
 
     async def _respond(
         self, request: Request
-    ) -> tuple[int, dict, dict[str, str] | None]:
+    ) -> tuple[int, dict | bytes, dict[str, str] | None]:
         """Route one request to ``(status, payload, headers)``; never raises."""
         started = time.perf_counter()
         endpoint, status, rows, headers = "other", 500, 0, None
@@ -466,13 +544,19 @@ class AnonymizationService:
         except (ConnectionError, OSError):
             pass
         finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionError, OSError):  # pragma: no cover - peer reset
                 pass
+            finally:
+                # Only now: the shutdown drain waits for every task in
+                # this set, so a task still closing must stay in it.
+                # Dropped earlier, asyncio.run's teardown would cancel it
+                # mid-close and Python 3.11's stream callback would log
+                # the cancellation as an error.
+                if task is not None:
+                    self._conn_tasks.discard(task)
 
     async def _watch_registry(self) -> None:
         """Poll ACTIVE pointers; hot swap when another worker moved one."""
@@ -523,6 +607,10 @@ class AnonymizationService:
         """
         if not self._models:
             self.load_models()
+        if self.metrics_dir is not None:
+            # Before this worker reports ready: a scrape answered by a
+            # sibling must count it even before it answers anything.
+            self.metrics.persist(self._metrics_path())
         self._draining = asyncio.Event()
         if sock is not None:
             server = await asyncio.start_server(self._handle_connection, sock=sock)

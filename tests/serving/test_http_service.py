@@ -9,6 +9,9 @@ rollback hot swaps, metrics exposure, and the 4xx error contract.
 
 import asyncio
 import json
+import os
+import signal
+import threading
 
 import numpy as np
 import pytest
@@ -99,6 +102,16 @@ class TestRequestParser:
         assert head.startswith(b"HTTP/1.1 200 OK\r\n")
         assert b"Content-Type: application/json" in head
         assert json.loads(body) == {"ok": True}
+
+    def test_render_response_bytes_payload(self):
+        payload = {"b": [1.5, 'q"\\é'], "a": None}
+        encoded = json.dumps(payload, sort_keys=True).encode()
+        raw = render_response(200, encoded, keep_alive=True)
+        head, _, body = raw.partition(b"\r\n\r\n")
+        # Already-encoded JSON goes out as is, plus the trailing newline.
+        assert body == encoded + b"\n"
+        assert f"Content-Length: {len(body)}\r\n".encode() in head
+        assert raw == render_response(200, payload, keep_alive=True)
 
 
 async def http(port, method, path, payload=None):
@@ -386,3 +399,94 @@ class TestWarmupOnSwap:
             return len(service._models["salary"].cache)
 
         assert serve(service, interact) == 0
+
+
+def run_serve(service, client, **kwargs):
+    """Run ``service.serve`` on an ephemeral port with ``client(port)``.
+
+    ``client`` starts as a task once the service reports ready, stops the
+    service with SIGTERM as an operator would, and must finish within
+    10 s of it.  Returns every context the loop's exception handler
+    received, through the end of ``asyncio.run``'s teardown.
+    """
+    assert threading.current_thread() is threading.main_thread()
+    errors, tasks = [], []
+
+    def ready(port, models):
+        tasks.append(asyncio.get_running_loop().create_task(client(port)))
+
+    async def main():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: errors.append(context)
+        )
+        await service.serve(
+            port=0, quiet=True, ready_callback=ready, **kwargs
+        )
+        await asyncio.wait_for(tasks[0], timeout=10)
+
+    asyncio.run(main())
+    return errors
+
+
+class TestServeLifecycle:
+    def test_metrics_snapshot_written_before_ready(self, registry, tmp_path):
+        metrics_dir = tmp_path / "metrics"
+        metrics_dir.mkdir()
+        service = AnonymizationService(registry, metrics_dir=metrics_dir)
+        snapshot = metrics_dir / f"metrics-{os.getpid()}.json"
+        at_ready = []
+
+        async def client(port):
+            at_ready.append(snapshot.is_file())
+            signal.raise_signal(signal.SIGTERM)
+
+        assert run_serve(service, client) == []
+        # A sibling's scrape merges this worker's file even though this
+        # worker never answered a request.
+        assert at_ready == [True]
+        assert json.loads(snapshot.read_text())["requests"] == {}
+
+    def test_open_connection_closes_quietly_at_shutdown(self, service):
+        async def client(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            await writer.drain()
+            await reader.readuntil(b"\r\n\r\n")
+            # Keep the connection open across SIGTERM; the drain closes it.
+            signal.raise_signal(signal.SIGTERM)
+            while await reader.read(65536):
+                pass
+            writer.close()
+            await writer.wait_closed()
+
+        assert run_serve(service, client) == []
+
+    def test_closing_connection_is_drained_not_cancelled(
+        self, service, monkeypatch
+    ):
+        """A connection the peer just closed is still finishing its
+        close when shutdown starts; the drain must wait for it instead of
+        leaving it to ``asyncio.run``'s teardown to cancel."""
+        wait_closed = asyncio.StreamWriter.wait_closed
+        closed = []
+
+        async def slow_wait_closed(writer):
+            await asyncio.sleep(0.3)
+            await wait_closed(writer)
+            closed.append(writer)
+
+        async def client(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            await writer.drain()
+            await reader.readuntil(b"\r\n\r\n")
+            monkeypatch.setattr(
+                asyncio.StreamWriter, "wait_closed", slow_wait_closed
+            )
+            writer.close()
+            await wait_closed(writer)
+            await asyncio.sleep(0.05)  # the server reads EOF and closes
+            signal.raise_signal(signal.SIGTERM)
+
+        assert run_serve(service, client) == []
+        assert len(closed) == 1
