@@ -1,6 +1,6 @@
 """Ablation A — distinct-value vs rank-based ordered EMD under ties.
 
-DESIGN.md records a deliberate choice: the t-closeness checker uses Li et
+The library makes a deliberate choice: the t-closeness checker uses Li et
 al.'s distinct-value bins, while the paper's Propositions 1-2 are stated
 over per-record rank bins.  The two coincide on tie-free data (asserted in
 the unit suite); this ablation quantifies (a) how far they drift once the

@@ -9,7 +9,7 @@ and thereby *lowers* O(n^2/k).
 
 The benchmark reproduces those orderings on the Patient Discharge surrogate
 (subsampled by default — the paper's own point is that Algorithm 2 does not
-scale; see conftest/EXPERIMENTS.md).
+scale; see conftest.py).
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Paper reference (MCD/HCD, n=1080): cluster sizes blow up as t shrinks —
 at t=0.01 everything collapses into one 1,080-record cluster for every k;
 at t=0.25 sizes approach k.  Larger k also inflates sizes (coarser initial
 microaggregation needs more merging).  The benchmark asserts those shape
-properties and regenerates the table for EXPERIMENTS.md.
+properties and regenerates the table.
 """
 
 from __future__ import annotations

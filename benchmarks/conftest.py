@@ -11,7 +11,7 @@ scales are supported:
 
 Each benchmark writes its rendered paper-style table to
 ``benchmarks/results/<name>.txt`` (and prints it, visible with ``-s``), so
-EXPERIMENTS.md can quote measured numbers verbatim.
+measured numbers can be quoted verbatim.
 """
 
 from __future__ import annotations
@@ -68,6 +68,6 @@ def patient_discharge():
     """Patient Discharge surrogate at benchmark scale.
 
     Algorithm 2 is O(n^3/k); the default subsample keeps the Figure 5/6
-    benches inside CI budgets.  EXPERIMENTS.md documents the scaling.
+    benches inside CI budgets.
     """
     return load_patient_discharge(n=3000 if FULL else 1000)

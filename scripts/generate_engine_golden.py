@@ -2,27 +2,35 @@
 
 The fixture file ``tests/microagg/fixtures/engine_golden.npz`` stores, for
 every dataset in ``tests/microagg/golden_datasets.py``, the partition labels
-produced by each algorithm.  It was generated ONCE from the pre-engine seed
+produced by each algorithm.  It was generated from the pre-engine seed
 implementations (commit b54cc5e tree, with the canonical
 column-accumulated ``sq_distances_to`` kernel from ``distance/records.py``
 overlaid, since that shared primitive defines the distance rounding for
 seed and engine alike: ``git archive HEAD | tar -x -C /tmp/seed_tree``,
-copy ``records.py`` in, compute labels with the seed algorithms).  It is
-the contract the engine-backed rewrites are held to: rerunning this script
-after any partitioner change must reproduce the committed file
-bit-for-bit.
+copy ``records.py`` in, compute labels with the seed algorithms).  One
+entry has a newer provenance: ``kanon-first/md_mixed_strict`` was
+re-blessed when Algorithm 2's swap decisions became exact integer
+arithmetic, which resolves exact ties the float code had broken toward a
+later member; its labels are the brute-force exact rational reference's
+(``tests/microagg/test_alg2_reference.py``), which the current code
+reproduces.  It is the contract the engine-backed rewrites are held to:
+rerunning this script after any partitioner change must reproduce the
+committed file bit-for-bit.
 
 A second fixture, ``tests/microagg/fixtures/kanon_first_golden.npz``,
 covers *end-to-end* runs of the swap/merge-heavy algorithms on the
 tight-t cases of ``golden_datasets.E2E_CASES``: kanon-first with and
 without the merge fallback, plus Algorithm 1 (MDAV + merge).  For each
 run it stores the partition labels, the per-cluster EMDs, and the
-swap/merge counters.  It was generated ONCE from the dense pre-refactor
-swap/merge implementations (commit 2a51dac tree); the sparse EMD engine
-introduced afterwards is held to identical labels and counters
-(bit-for-bit) and to EMDs equal within 1e-12 — the reported EMD values
-are evaluated sparsely post-refactor, which regroups the same float
-summation and may shift the last ulp.
+swap/merge counters.  It was generated from the dense pre-refactor
+swap/merge implementations (commit 2a51dac tree), except the
+kanon-first entries of ``md_numeric_strict`` and ``md_single_qi_tight``:
+with exact swap decisions their raw partitions are the exact rational
+reference's (the float code broke exact ties differently), so those
+entries were regenerated from the current code after it was proven
+equal to that reference.  Labels and counters are compared bit-for-bit,
+EMDs within 1e-12 — reported EMD values are evaluated sparsely, which
+regroups the dense float summation and may shift the last ulp.
 
 Usage::
 
@@ -30,6 +38,9 @@ Usage::
 
 ``--check`` verifies the current implementations against the committed
 fixtures instead of overwriting them (exit code 1 on any difference).
+``--write-e2e`` also re-blesses the end-to-end fixture, rewriting only
+the arrays ``--check`` reports as differing, so every other entry keeps
+its provenance.
 """
 
 from __future__ import annotations
@@ -111,6 +122,15 @@ def compute_e2e() -> dict[str, np.ndarray]:
     return out
 
 
+def _same(key: str, stored: np.ndarray, fresh: np.ndarray, emd_atol: float) -> bool:
+    """Whether ``--check`` accepts ``fresh`` for the stored array ``key``."""
+    if emd_atol and key.split("/")[-1] in _EMD_KEY_SUFFIXES:
+        return stored.shape == fresh.shape and np.allclose(
+            stored, fresh, atol=emd_atol, rtol=0.0
+        )
+    return np.array_equal(stored, fresh)
+
+
 def _check_fixture(
     path: Path, fresh: dict[str, np.ndarray], *, emd_atol: float = 0.0
 ) -> int:
@@ -124,13 +144,7 @@ def _check_fixture(
                 print(f"MISSING  {key}")
                 status = 1
                 continue
-            if emd_atol and key.split("/")[-1] in _EMD_KEY_SUFFIXES:
-                same = stored[key].shape == fresh[key].shape and np.allclose(
-                    stored[key], fresh[key], atol=emd_atol, rtol=0.0
-                )
-            else:
-                same = np.array_equal(stored[key], fresh[key])
-            if not same:
+            if not _same(key, stored[key], fresh[key], emd_atol):
                 print(f"DIFFERS  {key}")
                 status = 1
             else:
@@ -149,11 +163,11 @@ def main() -> int:
         "--write-e2e",
         action="store_true",
         help=(
-            "ALSO rewrite kanon_first_golden.npz from the CURRENT "
-            "implementations.  That fixture's value is its dense "
-            "pre-refactor provenance; regenerating it from the sparse code "
-            "makes the equivalence tests compare the sparse engine against "
-            "itself.  Only do this when deliberately re-baselining."
+            "ALSO rewrite the arrays of kanon_first_golden.npz that no "
+            "longer pass --check from the CURRENT implementations.  That "
+            "fixture's value is its provenance (the dense pre-refactor code "
+            "and the exact rational reference); only re-baseline after "
+            "tests/microagg/test_alg2_reference.py passes."
         ),
     )
     args = parser.parse_args()
@@ -169,11 +183,20 @@ def main() -> int:
     np.savez_compressed(FIXTURE_PATH, **labels)
     print(f"wrote {len(labels)} partitions to {FIXTURE_PATH}")
     if args.write_e2e:
-        np.savez_compressed(E2E_FIXTURE_PATH, **e2e)
-        print(f"wrote {len(e2e)} arrays to {E2E_FIXTURE_PATH}")
+        with np.load(E2E_FIXTURE_PATH) as stored:
+            kept = {key: stored[key] for key in stored.files}
+        moved = [
+            key
+            for key in sorted(e2e)
+            if key not in kept or not _same(key, kept[key], e2e[key], 1e-12)
+        ]
+        kept = {key: kept[key] for key in e2e if key in kept}
+        kept.update((key, e2e[key]) for key in moved)
+        np.savez_compressed(E2E_FIXTURE_PATH, **kept)
+        print(f"rewrote {len(moved)} arrays in {E2E_FIXTURE_PATH}: {moved}")
     else:
         print(
-            f"left {E2E_FIXTURE_PATH} untouched (pre-refactor provenance); "
+            f"left {E2E_FIXTURE_PATH} untouched (see its provenance); "
             "pass --write-e2e to deliberately re-baseline it"
         )
     return 0

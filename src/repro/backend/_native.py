@@ -1,10 +1,12 @@
-"""Optional compiled kd query for the nearest-representative assign.
+"""Optional compiled kernels: the kd assign query and Algorithm 2's refinement.
 
-:func:`repro.backend.kernels.nearest_block` answers serving's
-nearest-representative queries against a
-:class:`~repro.backend.kernels.NearestIndex`.  On hosts that ship a C
-compiler this module builds one small shared library with one entry
-point, ``repro_kd_nearest``: a depth-first kd-tree search that
+On hosts that ship a C compiler this module builds one small shared
+library with two entry points.
+
+``repro_kd_nearest`` answers serving's nearest-representative queries
+(:func:`repro.backend.kernels.nearest_block`) against a
+:class:`~repro.backend.kernels.NearestIndex` by a depth-first kd-tree
+search that
 
 * scans a leaf's representatives with the canonical arithmetic of
   :mod:`repro.backend.kernels`, for each (row, representative) pair::
@@ -25,23 +27,36 @@ point, ``repro_kd_nearest``: a depth-first kd-tree search that
   numpy scan's bit for bit.
 
 A tree of one leaf is exactly the brute scan, so there is no separate
-brute-force body.  The C call releases the GIL (``ctypes.CDLL``), so
-queries from concurrent threads (serving's batcher runs each assign on an
-executor thread) run in parallel.
+brute-force body.
+
+``repro_alg2_refine`` runs Algorithm 2's swap refinement of one cluster
+over a chunk of its candidate pool
+(:meth:`repro.backend.SerialBackend.refine_swaps`): the decision rule of
+:class:`~repro.core.confidential.SwapFrame` in 64-bit integers, with
+128-bit cross products to compare scores of different attributes, so it
+decides exactly as the Python spec :meth:`SwapFrame.refine
+<repro.core.confidential.SwapFrame.refine>` does.  It keeps no static
+state; its work arrays are allocated per call.
+
+Both C calls release the GIL (``ctypes.CDLL``), so calls from concurrent
+threads (serving's batcher runs each assign on an executor thread, fits
+may run on several threads) run in parallel.
 
 The build is best-effort and cached:
 
 * no compiler, a failed compile, or ``REPRO_NO_NATIVE=1`` → ``load()``
-  returns ``None`` and callers keep the numpy path;
+  returns ``None`` and callers keep the numpy and Python specs;
 * the shared object is cached under the system temp directory keyed by a
   hash of the source and toolchain, so forked serving workers and repeat
   processes reuse one artifact (built via a unique temp name and
   ``os.replace`` — concurrent builders race benignly);
-* after loading, a differential self-check runs the kd query against the
-  numpy kernel on a tie-heavy fixture, through a forced multi-level tree
-  and through a single leaf, and rejects the library on any bit
-  difference, so a misbehaving toolchain degrades to the (slow, correct)
-  fallback instead of corrupting assignments.
+* after loading, a differential self-check runs both entry points
+  against their specs on tie-heavy fixtures — the kd query through a
+  forced multi-level tree and through a single leaf, the refinement over
+  duplicate ordered bins, a nominal attribute, two attributes and a
+  one-bin attribute at budgets 1 and unlimited — and rejects the library
+  on any difference, so a misbehaving toolchain degrades to the (slow,
+  correct) specs instead of corrupting results.
 """
 
 from __future__ import annotations
@@ -54,11 +69,13 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 _SOURCE = r"""
 #include <stddef.h>
+#include <stdlib.h>
 
 #define BLOCK 256
 #define MAX_DEPTH 64
@@ -198,6 +215,260 @@ void repro_kd_nearest(const double *restrict rows, long long n, long long d,
         }
     }
 }
+
+/* ---- Algorithm 2's swap refinement, exact integers ----------------------
+ *
+ * Attribute a is attrs[4a..4a+3] = {kind (0 ordered, 1 nominal), m, w, T}
+ * and tables[3a..3a+2] = {record -> bin map, cum, prefix} when ordered,
+ * {record -> bin map, counts, counts} when nominal.  A cluster of c records
+ * has the numerator S = sum_i |n*cum_c(i) - c*cum(i)| (ordered) or
+ * sum_i |n*C_i - c*counts(i)| (nominal), EMD = S / (c*n*w); the caller
+ * keeps k*n*m < 2^63, under which every product below fits 64 bits.
+ * Scores S/w of different attributes compare by 128-bit cross products.
+ */
+
+typedef __int128 wide;
+
+/* sum_{i in [s, e)} |nk - c*cum[i]|; cum is non-decreasing, so the sign
+ * flips at the first i with cum[i] > nk / c (floor: cum is an integer). */
+static long long segment(const long long *cum, const long long *prefix,
+                         long long s, long long e, long long nk, long long c)
+{
+    if (s >= e)
+        return 0;
+    long long thr = nk / c, lo = s, hi = e;
+    while (lo < hi) {
+        long long mid = lo + (hi - lo) / 2;
+        if (cum[mid] > thr)
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    return nk * (lo - s) - c * (prefix[lo] - prefix[s])
+           + c * (prefix[e] - prefix[lo]) - nk * (e - lo);
+}
+
+/* Ordered S of the distinct member bins u[0..r) with counts cnt, one member
+ * at u[rm] replaced by a record at bin add (rm = -1, add = -1: no swap). */
+static long long ordered_s(const long long *cum, const long long *prefix,
+                           long long m, long long n, long long c,
+                           const long long *u, const long long *cnt,
+                           long long r, long long rm, long long add)
+{
+    long long s = 0, start = 0, k = 0, i = 0;
+    int adding = add >= 0;
+    while (i < r || adding) {
+        long long b, delta = 0;
+        if (adding && (i == r || add <= u[i])) {
+            b = add;
+            delta = 1;
+            adding = 0;
+            if (i < r && u[i] == add) {
+                delta += cnt[i] - (i == rm);
+                ++i;
+            }
+        } else {
+            b = u[i];
+            delta = cnt[i] - (i == rm);
+            ++i;
+        }
+        if (delta) {
+            s += segment(cum, prefix, start, b, n * k, c);
+            k += delta;
+            start = b;
+        }
+    }
+    return s + segment(cum, prefix, start, m, n * k, c);
+}
+
+/* Index of bin b in the distinct bins u[0..r), or -1. */
+static long long find(const long long *u, long long r, long long b)
+{
+    long long lo = 0, hi = r;
+    while (lo < hi) {
+        long long mid = lo + (hi - lo) / 2;
+        if (u[mid] < b)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo < r && u[lo] == b ? lo : -1;
+}
+
+/* Per attribute the work area holds, c entries each: the sorted member
+ * bins, the distinct ones and their counts (r of them), the swap S per
+ * distinct bin and per member; then the current S. */
+enum { SORTED, DISTINCT, COUNTS, PER_BIN, PER_MEMBER, CURRENT };
+
+/* Distinct bins and counts of the sorted member bins; returns how many. */
+static long long distinct(const long long *sorted, long long c, long long *u,
+                          long long *cnt)
+{
+    long long r = 0;
+    for (long long j = 0; j < c; ++j) {
+        if (r && u[r - 1] == sorted[j]) {
+            ++cnt[r - 1];
+        } else {
+            u[r] = sorted[j];
+            cnt[r++] = 1;
+        }
+    }
+    return r;
+}
+
+/* Insert bin b into the sorted bins s[0..len), which have room for one. */
+static void insert(long long *s, long long len, long long b)
+{
+    long long i = len;
+    for (; i > 0 && s[i - 1] > b; --i)
+        s[i] = s[i - 1];
+    s[i] = b;
+}
+
+/* max_a work_a[off] / w_a as a (numerator, weight) pair. */
+static void max_score(const long long *work, long long stride, long long off,
+                      const long long *attrs, long long n_attr,
+                      long long *s, long long *w)
+{
+    *s = work[off];
+    *w = attrs[2];
+    for (long long a = 1; a < n_attr; ++a) {
+        long long sa = work[a * stride + off], wa = attrs[4 * a + 2];
+        if ((wide)sa * *w > (wide)*s * wa) {
+            *s = sa;
+            *w = wa;
+        }
+    }
+}
+
+/* S of attribute a's current members. */
+static long long current_s(const long long *attr, const long long *const *tab,
+                           long long n, long long c, const long long *u,
+                           const long long *cnt, long long r)
+{
+    if (attr[0] == 0)
+        return ordered_s(tab[1], tab[2], attr[1], n, c, u, cnt, r, -1, -1);
+    long long s = 0, covered = 0;
+    for (long long i = 0; i < r; ++i) {
+        long long d = n * cnt[i] - c * tab[1][u[i]];
+        s += d < 0 ? -d : d;
+        covered += tab[1][u[i]];
+    }
+    return s + c * (n - covered);
+}
+
+/* S of each member's swap for a record at bin add: per distinct member
+ * bin (PER_BIN), then per member (PER_MEMBER). */
+static void swap_s(const long long *attr, const long long *const *tab,
+                   long long n, long long c, const long long *members,
+                   long long *work, long long r, long long add)
+{
+    const long long *u = work + DISTINCT * c, *cnt = work + COUNTS * c;
+    long long *per_bin = work + PER_BIN * c, cur = work[CURRENT * c];
+    if (attr[0] == 0) {
+        for (long long i = 0; i < r; ++i)
+            per_bin[i] = ordered_s(tab[1], tab[2], attr[1], n, c, u, cnt, r,
+                                   i, add);
+    } else {
+        long long ia = find(u, r, add);
+        long long da = n * (ia < 0 ? 0 : cnt[ia]) - c * tab[1][add];
+        long long gain = llabs(da + n) - llabs(da);
+        for (long long i = 0; i < r; ++i) {
+            long long dr = n * cnt[i] - c * tab[1][u[i]];
+            per_bin[i] = u[i] == add ? cur
+                                     : cur + gain + llabs(dr - n) - llabs(dr);
+        }
+    }
+    for (long long j = 0; j < c; ++j)
+        work[PER_MEMBER * c + j] = per_bin[find(u, r, tab[0][members[j]])];
+}
+
+/* Refine one k-record cluster over the pool chunk (record ids, in order):
+ * while some S_a > T_a, stop when `budget` swaps were accepted (status 2)
+ * or the chunk is used up (status 1); else score the next record's swap
+ * against every member, take the first lowest max_a S_a/w_a and accept it
+ * if strictly below the current score.  Status 0: within t.  members is
+ * edited in place; out = {swaps accepted, records consumed}.  Returns -1
+ * when out of memory, -2 on a record id outside [0, n).
+ */
+long long repro_alg2_refine(const long long *attrs,
+                            const long long *const *tables,
+                            long long n_attr, long long n,
+                            long long *members, long long c,
+                            const long long *pool, long long n_pool,
+                            long long budget, long long *out)
+{
+    long long stride = CURRENT * c + 1;
+    long long *work = malloc(sizeof(long long) * (size_t)(n_attr * (stride + 1)));
+    long long *rs, swaps = 0, consumed = 0, status = 0;
+    if (!work)
+        return -1;
+    rs = work + n_attr * stride; /* distinct member bins per attribute */
+    for (long long j = 0; j < c; ++j)
+        if (members[j] < 0 || members[j] >= n)
+            status = -2;
+    for (long long a = 0; a < n_attr && status == 0; ++a) {
+        long long *w = work + a * stride;
+        for (long long j = 0; j < c; ++j)
+            insert(w, j, tables[3 * a][members[j]]);
+        rs[a] = distinct(w, c, w + DISTINCT * c, w + COUNTS * c);
+        w[CURRENT * c] = current_s(attrs + 4 * a, tables + 3 * a, n, c,
+                                   w + DISTINCT * c, w + COUNTS * c, rs[a]);
+    }
+    while (status == 0) {
+        int over = 0;
+        for (long long a = 0; a < n_attr; ++a)
+            over |= work[a * stride + CURRENT * c] > attrs[4 * a + 3];
+        if (!over)
+            break;
+        if (swaps >= budget) {
+            status = 2;
+            break;
+        }
+        if (consumed == n_pool) {
+            status = 1;
+            break;
+        }
+        long long y = pool[consumed++];
+        if (y < 0 || y >= n) {
+            status = -2;
+            break;
+        }
+        for (long long a = 0; a < n_attr; ++a)
+            swap_s(attrs + 4 * a, tables + 3 * a, n, c, members,
+                   work + a * stride, rs[a], tables[3 * a][y]);
+        long long best = -1, bs = 0, bw = 1, s, w;
+        for (long long j = 0; j < c; ++j) {
+            max_score(work, stride, PER_MEMBER * c + j, attrs, n_attr, &s, &w);
+            if (best < 0 || (wide)s * bw < (wide)bs * w) {
+                best = j;
+                bs = s;
+                bw = w;
+            }
+        }
+        max_score(work, stride, CURRENT * c, attrs, n_attr, &s, &w);
+        if (!((wide)bs * w < (wide)s * bw))
+            continue;
+        for (long long a = 0; a < n_attr; ++a) {
+            long long *sorted = work + a * stride, i = 0;
+            long long old = tables[3 * a][members[best]];
+            while (sorted[i] != old)
+                ++i;
+            for (; i + 1 < c; ++i)
+                sorted[i] = sorted[i + 1];
+            insert(sorted, c - 1, tables[3 * a][y]);
+            rs[a] = distinct(sorted, c, sorted + DISTINCT * c,
+                             sorted + COUNTS * c);
+            sorted[CURRENT * c] = sorted[PER_MEMBER * c + best];
+        }
+        members[best] = y;
+        ++swaps;
+    }
+    out[0] = swaps;
+    out[1] = consumed;
+    free(work);
+    return status;
+}
 """
 
 _BASE_FLAGS = ["-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC"]
@@ -214,14 +485,14 @@ def _compile(cc: str) -> Path | None:
     tag = f"{_SOURCE}|{cc}|{sys.version_info[:2]}|v1"
     key = hashlib.sha256(tag.encode()).hexdigest()[:16]
     cache = _cache_dir()
-    so_path = cache / f"nearest-{key}.so"
+    so_path = cache / f"native-{key}.so"
     if so_path.exists():
         return so_path
     cache.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=cache) as build:
-        src = Path(build) / "nearest.c"
+        src = Path(build) / "native.c"
         src.write_text(_SOURCE)
-        out = Path(build) / "nearest.so"
+        out = Path(build) / "native.so"
         for flags in (["-march=native", *_BASE_FLAGS], _BASE_FLAGS):
             proc = subprocess.run(
                 [cc, *flags, str(src), "-o", str(out)],
@@ -234,8 +505,15 @@ def _compile(cc: str) -> Path | None:
     return None
 
 
-def _bind(fn):
-    """The raw C entry point as ``query(rows, index, assignment, best_d2)``.
+class Native(NamedTuple):
+    """The library's two bound entry points (see :func:`load`)."""
+
+    kd_nearest: Callable
+    alg2_refine: Callable
+
+
+def _bind_kd(fn):
+    """The raw kd query as ``query(rows, index, assignment, best_d2)``.
 
     ``rows`` is a C-contiguous ``(n, d)`` float64 block and ``index`` a
     :class:`~repro.backend.kernels.NearestIndex`; ``assignment`` (int64)
@@ -262,7 +540,43 @@ def _bind(fn):
     return query
 
 
-def _self_check(query) -> bool:
+def _bind_refine(fn):
+    """The raw kernel as ``refine(frame, members, pool, budget)``.
+
+    ``frame`` is a :class:`~repro.core.confidential.SwapFrame`, whose
+    leading arguments (``kernel_args``) are converted once per fit; only
+    the int64 ``members`` (edited in place) and ``pool`` arrays and the
+    output are converted per call.  Returns ``(swaps, consumed, status)``
+    like the spec, :meth:`SwapFrame.refine
+    <repro.core.confidential.SwapFrame.refine>`.
+    """
+
+    def refine(frame, members, pool, budget):
+        for arr in (members, pool):
+            if arr.dtype != np.int64 or not arr.flags.c_contiguous:
+                raise ValueError("members and pool must be contiguous int64")
+        if members.size != frame.k:
+            raise ValueError(f"a refined cluster has k={frame.k} members")
+        out = np.zeros(2, dtype=np.int64)
+        status = fn(
+            *frame.kernel_args,
+            members.ctypes.data,
+            members.size,
+            pool.ctypes.data,
+            pool.size,
+            budget,
+            out.ctypes.data,
+        )
+        if status < 0:
+            raise (MemoryError if status == -1 else IndexError)(
+                "refinement kernel failed"
+            )
+        return int(out[0]), int(out[1]), int(status)
+
+    return refine
+
+
+def _check_kd(query) -> bool:
     """The kd query must be bit-for-bit the numpy kernel on tie-heavy data.
 
     Runs a forced four-level tree (so the box bounds, the pruning and the
@@ -292,14 +606,62 @@ def _self_check(query) -> bool:
     return True
 
 
-def load():
-    """Return the compiled kd query, or ``None``.
+def _check_refine(refine) -> bool:
+    """The refinement kernel must equal the Python spec call for call.
+
+    Tie-heavy fixture over 24 records: an ordered attribute with five
+    bins, a three-way nominal one, both together, and a one-bin (m = 1)
+    attribute beside the ordered one; each cluster starts at the records
+    of the highest bins, so it takes several swaps to reach t, over pool
+    chunks of seven at budgets of 1 and unlimited.  Every call's members,
+    swap count, consumed count and status must match.
+    """
+    from ..core.confidential import CHUNK_EXHAUSTED, CONVERGED, UNLIMITED, SwapFrame
+    from ..distance.emd import NominalEMDFrame, OrderedEMDFrame
+
+    rng = np.random.default_rng(0)
+    n, k = 24, 4
+    ordered = OrderedEMDFrame(rng.integers(0, 5, n), 5)
+    nominal = NominalEMDFrame(rng.integers(0, 3, n), 3)
+    flat = OrderedEMDFrame(np.zeros(n, dtype=np.int64), 1)
+    for frames in ([ordered], [nominal], [ordered, nominal], [flat, ordered]):
+        frame = SwapFrame(frames, k, 0.05)
+        order = np.argsort(-frames[-1].bins, kind="stable")
+        for budget in (1, UNLIMITED):
+            sides = [order[:k].copy(), order[:k].copy()]
+            pool, used, end = order[k:], 0, 7
+            while True:
+                got = [
+                    run(frame, members, pool[used:end], budget)
+                    for run, members in zip((refine, SwapFrame.refine), sides)
+                ]
+                if got[0] != got[1] or not np.array_equal(*sides):
+                    return False
+                _, consumed, status = got[0]
+                used += consumed
+                if status == CHUNK_EXHAUSTED:
+                    if end >= len(pool):
+                        break
+                    end += 7
+                elif status == CONVERGED:
+                    break
+    return True
+
+
+def _self_check(native: Native) -> bool:
+    """Both entry points must equal their specs (kd query, refinement)."""
+    return _check_kd(native.kd_nearest) and _check_refine(native.alg2_refine)
+
+
+def load() -> Native | None:
+    """Return the compiled entry points, or ``None``.
 
     The single entry point that builds (or reuses) the shared library;
     the result (including failure) is memoized for the process lifetime.
-    The returned callable is ``query(rows, index, assignment, best_d2)``
-    (see :func:`_bind`); ctypes ndpointer argtypes enforce every array's
-    dtype and contiguity.
+    ``kd_nearest`` is ``query(rows, index, assignment, best_d2)`` (see
+    :func:`_bind_kd`; ctypes ndpointer argtypes enforce every array's
+    dtype and contiguity) and ``alg2_refine`` is
+    ``refine(frame, members, pool, budget)`` (see :func:`_bind_refine`).
     """
     global _cached
     if _cached is not _UNSET:
@@ -315,32 +677,51 @@ def load():
         if so_path is None:
             return None
         lib = ctypes.CDLL(str(so_path))
-        fn = lib.repro_kd_nearest
+        kd = lib.repro_kd_nearest
         c_double_p = np.ctypeslib.ndpointer(
             dtype=np.float64, flags="C_CONTIGUOUS"
         )
         c_int64_p = np.ctypeslib.ndpointer(
             dtype=np.int64, flags="C_CONTIGUOUS"
         )
-        fn.argtypes = [
+        c_int64 = ctypes.c_longlong
+        kd.argtypes = [
             c_double_p,
-            ctypes.c_longlong,
-            ctypes.c_longlong,
-            c_double_p,
-            c_int64_p,
-            ctypes.c_longlong,
-            c_double_p,
+            c_int64,
+            c_int64,
             c_double_p,
             c_int64_p,
-            ctypes.c_longlong,
+            c_int64,
+            c_double_p,
+            c_double_p,
+            c_int64_p,
+            c_int64,
             c_int64_p,
             c_double_p,
         ]
-        fn.restype = None
-        query = _bind(fn)
-        if not _self_check(query):
+        kd.restype = None
+        refine = lib.repro_alg2_refine
+        # Raw addresses: ndpointer's per-call checks would dominate the
+        # short refinement calls; _bind_refine checks the two per-call
+        # arrays itself.
+        c_void_p = ctypes.c_void_p
+        refine.argtypes = [
+            c_void_p,
+            c_void_p,
+            c_int64,
+            c_int64,
+            c_void_p,
+            c_int64,
+            c_void_p,
+            c_int64,
+            c_int64,
+            c_void_p,
+        ]
+        refine.restype = c_int64
+        native = Native(_bind_kd(kd), _bind_refine(refine))
+        if not _self_check(native):
             return None
-        _cached = query
+        _cached = native
     except Exception:
         _cached = None
     return _cached

@@ -275,8 +275,8 @@ def nearest_block(
     the two before the compiled path is ever used.
     """
     if stop > start and index.shape[1]:
-        query = _native.load()
-        if query is not None:
+        native = _native.load()
+        if native is not None:
             a_seg = assignment[start:stop]
             b_seg = best_d2[start:stop]
             if (
@@ -288,7 +288,7 @@ def nearest_block(
                 rows = np.ascontiguousarray(
                     cols.T[start:stop], dtype=np.float64
                 )
-                query(rows, index, a_seg, b_seg)
+                native.kd_nearest(rows, index, a_seg, b_seg)
                 return
     _nearest_block_numpy(
         cols, index.reps, assignment, best_d2, d2, tmp, start, stop

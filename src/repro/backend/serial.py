@@ -1,14 +1,14 @@
 """The compute backend: the three hot primitives callers can substitute.
 
 Profiling the three anonymization algorithms (and the fitted-model serving
-path) shows all of their distance work funnels through three primitives:
-filling a distance buffer from one query point, scoring a block of swap
-candidates against an EMD tracker, and the batch nearest-representative
-query.  :class:`SerialBackend` names exactly those, with single-threaded
-numpy bodies.  The engine, Algorithm 2's swap scoring and serving call
-them *on the backend instance* they were given, which makes the instance
-a seam: a subclass overriding any of the three (to count calls, time
-them, or spy on them in a test) sees every call the library makes.
+path) shows their hot work funnels through three primitives: filling a
+distance buffer from one query point, Algorithm 2's swap refinement of
+one cluster over a chunk of its candidate pool, and the batch
+nearest-representative query.  :class:`SerialBackend` names exactly
+those.  The engine, Algorithm 2 and serving call them *on the backend
+instance* they were given, which makes the instance a seam: a subclass
+overriding any of the three (to count calls, time them, or spy on them
+in a test) sees every call the library makes.
 
 The paper's algorithms are sequential greedy loops — each cluster, swap
 and merge depends on what the previous step removed — so one step is a
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _native
 from .kernels import (
     NearestIndex,
     build_nearest_index,
@@ -32,12 +33,13 @@ from .kernels import (
 
 
 class SerialBackend:
-    """Single-threaded numpy execution of the compute primitives.
+    """Single-threaded execution of the compute primitives.
 
     The method bodies are the library's canonical arithmetic (the
-    arithmetic the golden fixtures pin).  Instances hold no state, so one
-    instance is safe to share between engines and threads, and a subclass
-    need not call ``__init__``.
+    arithmetic the golden fixtures pin), or compiled kernels proven equal
+    to it at load time.  Instances hold no state, so one instance is safe
+    to share between engines and threads, and a subclass need not call
+    ``__init__``.
     """
 
     def eval_sq_distances(
@@ -61,23 +63,26 @@ class SerialBackend:
         for start, stop in iter_blocks(n, chunk_size):
             sq_distances_block(cols, point, out, tmp, start, stop)
 
-    def score_swaps(
-        self,
-        trackers,
-        member_records: np.ndarray,
-        candidate_records: np.ndarray,
-    ) -> np.ndarray:
-        """Score a block of swap candidates against one cluster tracker.
+    def refine_swaps(
+        self, frame, members: np.ndarray, pool: np.ndarray, budget: int
+    ) -> tuple[int, int, int]:
+        """Algorithm 2's swap refinement of one cluster over one pool chunk.
 
-        Returns the ``(len(candidate_records), len(member_records))``
-        matrix of
-        :meth:`~repro.core.confidential.ClusterTrackerSet.swap_emds_batch`
-        — row b is bitwise the vector ``swap_emds(member_records,
-        candidate_records[b])`` would produce, and each row's arithmetic
-        is independent of which other candidates share the call.  Scoring
-        is read-only on the tracker (no caches are touched).
+        ``frame`` is the fit's :class:`~repro.core.confidential.SwapFrame`,
+        ``members`` the cluster's k record ids (int64, edited in place) and
+        ``pool`` the next candidates in pool order.  Returns ``(swaps,
+        consumed, status)``: the swaps accepted, the candidates consumed
+        and whether the cluster converged, used up the chunk or accepted
+        ``budget`` swaps.  Runs the compiled kernel in
+        :mod:`repro.backend._native` when it loaded (its self-check proves
+        it equal to the spec), else the Python spec
+        :meth:`~repro.core.confidential.SwapFrame.refine`; every decision
+        is exact integer arithmetic, so both give the same members.
         """
-        return trackers.swap_emds_batch(member_records, candidate_records)
+        native = _native.load()
+        if native is not None:
+            return native.alg2_refine(frame, members, pool, budget)
+        return frame.refine(members, pool, budget)
 
     def assign_nearest(
         self, X: np.ndarray, reps: "NearestIndex | np.ndarray"

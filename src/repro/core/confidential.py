@@ -9,22 +9,27 @@ for arbitrary record subsets:
   when a data set declares several confidential columns;
 * (Algorithm 2 only) "how would the EMD change if record *b* in the
   cluster were replaced by record *a*?" — evaluated for every member b at
-  once, thousands of times, so it must be incremental.
+  once, thousands of times, so it must be incremental, and decided
+  exactly, since ties between swaps are common.
 
-:class:`ConfidentialModel` wraps a dataset and exposes both, hiding the
-attribute-kind dispatch and the tracker bookkeeping.
+:class:`ConfidentialModel` wraps a dataset and answers the first in float
+arithmetic; its :meth:`~ConfidentialModel.swap_frame` builds the
+:class:`SwapFrame` that answers the second in integers, per fit, with
+:class:`ClusterTrackerSet` as the incremental scorer.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from ..data.attributes import AttributeKind
 from ..data.dataset import Microdata
 from ..distance.emd import (
-    ClusterEMDTracker,
-    NominalClusterTracker,
+    NominalEMDFrame,
     NominalEMDReference,
+    OrderedEMDFrame,
     OrderedEMDReference,
 )
 from ..registry import EMD_MODES
@@ -137,128 +142,190 @@ class ConfidentialModel:
             np.maximum(worst, per_cluster, out=worst)
         return worst
 
-    # -- incremental evaluation (Algorithm 2) -----------------------------------------
+    # -- exact swap refinement (Algorithm 2) ------------------------------------------
 
-    def make_tracker(self, members: np.ndarray) -> "ClusterTrackerSet":
-        """Incremental evaluator seeded with a cluster's record indices."""
+    def swap_frame(self, k: int, t: float) -> "SwapFrame":
+        """Algorithm 2's exact-integer frame for one fit at (k, t).
+
+        Built once per fit from the per-record bins, so the other
+        algorithms and serving never pay for it.  Raises ``ValueError``
+        in rank mode (no per-record bins) and past the exactness bound
+        (:func:`check_exact_bound`).
+        """
         if not self.supports_trackers:
             raise ValueError(
-                "incremental trackers require emd_mode='distinct' "
+                "exact swap refinement requires emd_mode='distinct' "
                 "(rank mode has no per-record bins)"
             )
-        return ClusterTrackerSet(self, np.asarray(members))
+        frames = []
+        for ref, bins in zip(self._refs, self._bins):
+            nominal = isinstance(ref, NominalEMDReference)
+            frames.append((NominalEMDFrame if nominal else OrderedEMDFrame)(bins, ref.m))
+        return SwapFrame(frames, k, t)
+
+
+#: k·n·m must stay below this for Algorithm 2's integer arithmetic: every
+#: numerator S and every product inside its segment sums is below k·n·m.
+EXACT_BOUND = 2**63
+
+#: Statuses of one refinement call (:meth:`SwapFrame.refine`).
+CONVERGED, CHUNK_EXHAUSTED, BUDGET_SPENT = 0, 1, 2
+
+#: A refinement budget that never binds (every swap consumes a record).
+UNLIMITED = 2**62
+
+
+def check_exact_bound(k: int, n: int, m: int) -> None:
+    """Raise ``ValueError`` unless k·n·m < :data:`EXACT_BOUND` (2**63)."""
+    if k * n * m >= EXACT_BOUND:
+        raise ValueError(
+            f"k*n*m = {k}*{n}*{m} reaches 2**63: Algorithm 2's exact integer "
+            "EMD numerators need k*n*m < 2**63 for every confidential attribute"
+        )
+
+
+class SwapFrame:
+    """Exact decision rule of Algorithm 2's swap refinement for one fit.
+
+    Holds one integer frame per confidential attribute
+    (:class:`~repro.distance.OrderedEMDFrame` or
+    :class:`~repro.distance.NominalEMDFrame`) and, for clusters of exactly
+    k records, the integer thresholds of t.  Attribute a of a cluster has
+    the numerator S_a and the EMD S_a / (k·n·w_a); every decision is
+    integer arithmetic:
+
+    * the cluster *overshoots* t iff some S_a > T_a, with
+      T_a = floor(Fraction(t)·k·n·w_a), computed from the exact integer
+      ratio of the float t (EMD <= 1 lets t clamp at 1);
+    * a cluster's *score* is max_a S_a / w_a, kept as the integer
+      max_a S_a·(W / w_a) over W = lcm(w_a);
+    * a candidate takes the member whose swap scores lowest (first member
+      on ties) and is accepted only if that score is strictly below the
+      current one.
+
+    :meth:`refine` is the Python spec of that loop; the compiled kernel
+    behind :meth:`repro.backend.SerialBackend.refine_swaps` reads the same
+    frames through :attr:`layout` and :attr:`tables` (addresses in
+    :attr:`kernel_args`).
+    """
+
+    def __init__(self, frames, k: int, t: float) -> None:
+        self.frames = list(frames)
+        self.k = int(k)
+        self.n = self.frames[0].n
+        for frame in self.frames:
+            check_exact_bound(self.k, self.n, frame.m)
+        weights = [frame.weight for frame in self.frames]
+        common = math.lcm(*weights)
+        self.scales = [common // w for w in weights]
+        num, den = min(t, 1.0).as_integer_ratio()  # exact, like Fraction(t)
+        self.thresholds = [num * self.k * self.n * w // den for w in weights]
+        #: The kernel's view of attribute a: ``layout[a]`` is (kind, m, w,
+        #: T), kind 1 when nominal, and ``tables[a]`` the addresses of the
+        #: record-bin map and of (cum, prefix), or (counts, counts) when
+        #: nominal.  The frames own the arrays.
+        self.layout = np.array(
+            [
+                [isinstance(frame, NominalEMDFrame), frame.m, frame.weight, bound]
+                for frame, bound in zip(self.frames, self.thresholds)
+            ],
+            dtype=np.int64,
+        )
+        arrays = [
+            (f.bins, f.counts, f.counts)
+            if isinstance(f, NominalEMDFrame)
+            else (f.bins, f.cum, f.prefix)
+            for f in self.frames
+        ]
+        self.tables = np.array(
+            [[a.ctypes.data for a in row] for row in arrays], dtype=np.uintp
+        )
+        #: The frame's leading kernel arguments, converted once per fit.
+        self.kernel_args = (
+            self.layout.ctypes.data,
+            self.tables.ctypes.data,
+            len(self.frames),
+            self.n,
+        )
+
+    def tracker(self, members: np.ndarray) -> "ClusterTrackerSet":
+        """Incremental scorer seeded with a cluster's record indices."""
+        return ClusterTrackerSet(self, members)
+
+    def refine(
+        self, members: np.ndarray, pool: np.ndarray, budget: int
+    ) -> tuple[int, int, int]:
+        """Refine ``members`` (k record ids, edited in place) over ``pool``.
+
+        While the cluster overshoots t: stop once ``budget`` swaps were
+        accepted (:data:`BUDGET_SPENT`) or the pool chunk is used up
+        (:data:`CHUNK_EXHAUSTED`); otherwise take the next pool record,
+        score its swap against every member and accept the best one if it
+        strictly lowers the score.  Returns ``(swaps, consumed, status)``,
+        status :data:`CONVERGED` once the cluster is within t.
+        """
+        if len(members) != self.k:
+            raise ValueError(f"a refined cluster has k={self.k} members")
+        tracker = self.tracker(members)
+        swaps = consumed = 0
+        while tracker.overshoots():
+            if swaps >= budget:
+                return swaps, consumed, BUDGET_SPENT
+            if consumed == len(pool):
+                return swaps, consumed, CHUNK_EXHAUSTED
+            y = int(pool[consumed])
+            consumed += 1
+            scores = tracker.swap_scores(members, y)
+            best = min(scores)
+            if best < tracker.score:
+                j = scores.index(best)
+                tracker.apply_swap(int(members[j]), y)
+                members[j] = y
+                swaps += 1
+        return swaps, consumed, CONVERGED
 
 
 class ClusterTrackerSet:
-    """Max-over-attributes incremental EMD for one mutable cluster.
+    """Exact max-over-attributes swap scoring for one mutable cluster.
 
     All methods address records by their *record index* in the original
     dataset; the per-attribute bin translation happens internally.
+    Scores are :class:`SwapFrame`'s integers.
     """
 
-    def __init__(self, model: ConfidentialModel, members: np.ndarray) -> None:
+    def __init__(self, frame: SwapFrame, members: np.ndarray) -> None:
+        members = np.asarray(members, dtype=np.int64)
         if members.size == 0:
             raise ValueError("cluster must be non-empty")
-        self._model = model
-        self._trackers = []
-        for ref, bins in zip(model._refs, model._bins):
-            member_bins = bins[members]
-            if isinstance(ref, NominalEMDReference):
-                self._trackers.append((NominalClusterTracker(ref, member_bins), bins))
-            else:
-                self._trackers.append((ClusterEMDTracker(ref, member_bins), bins))
+        self._frame = frame
+        self._trackers = [f.tracker(f.bins[members]) for f in frame.frames]
 
     @property
-    def emd(self) -> float:
-        """Current cluster EMD (max over confidential attributes).
-
-        The fast sparse evaluation — within ~1e-14 of :attr:`exact_emd`;
-        decisions landing inside that float-resolution band should consult
-        the exact value.
-        """
-        return max(tracker.emd for tracker, _ in self._trackers)
+    def numerators(self) -> list[int]:
+        """Current numerator S_a of every attribute."""
+        return [tracker.numerator for tracker in self._trackers]
 
     @property
-    def exact_emd(self) -> float:
-        """Cluster EMD in the dense reference arithmetic (tie adjudication)."""
-        return max(tracker.exact_emd for tracker, _ in self._trackers)
+    def score(self) -> int:
+        """Current score max_a S_a·(W / w_a)."""
+        return max(s * w for s, w in zip(self.numerators, self._frame.scales))
 
-    def bins_key(self, record: int) -> tuple[int, ...]:
-        """Per-attribute bins of one record — records sharing a key are
-        interchangeable for swap scoring (identical scores, all paths)."""
-        return tuple(int(bins[record]) for _, bins in self._trackers)
+    def overshoots(self) -> bool:
+        """Whether the cluster's EMD exceeds t (k-record clusters)."""
+        thresholds = self._frame.thresholds
+        return any(s > bound for s, bound in zip(self.numerators, thresholds))
 
-    def exact_swap_emd(self, member_record: int, new_record: int) -> float:
-        """One swap's cluster EMD in the dense reference arithmetic."""
-        return max(
-            tracker.exact_swap_emd(int(bins[member_record]), int(bins[new_record]))
-            for tracker, bins in self._trackers
-        )
-
-    def swap_emds(self, member_records: np.ndarray, new_record: int) -> np.ndarray:
-        """Cluster EMD after replacing each member by ``new_record``.
-
-        Returns one value per entry of ``member_records``; each is the
-        max-over-attributes EMD of the hypothetical cluster.
-        """
-        member_records = np.asarray(member_records)
-        out: np.ndarray | None = None
-        for tracker, bins in self._trackers:
-            scores = tracker.swap_emds(bins[member_records], int(bins[new_record]))
-            out = scores if out is None else np.maximum(out, scores)
-        if out is None:
-            raise ValueError("tracker set has no confidential attributes")
-        return out
-
-    def swap_emds_batch(
-        self, member_records: np.ndarray, new_records: np.ndarray
-    ) -> np.ndarray:
-        """:meth:`swap_emds` for a block of incoming candidates at once.
-
-        Returns a ``(len(new_records), len(member_records))`` matrix whose
-        row ``b`` is bitwise the vector ``swap_emds(member_records,
-        new_records[b])`` would produce (each per-attribute batch scorer
-        guarantees row-for-row identity, and the max-over-attributes here
-        is elementwise).  The pass is read-only on every tracker; this
-        is the primitive behind
-        :meth:`repro.backend.SerialBackend.score_swaps`.
-        """
-        member_records = np.asarray(member_records)
-        new_records = np.asarray(new_records)
-        out: np.ndarray | None = None
-        for tracker, bins in self._trackers:
-            scores = tracker.swap_emds_batch(bins[member_records], bins[new_records])
-            out = scores if out is None else np.maximum(out, scores, out=out)
-        if out is None:
-            raise ValueError("tracker set has no confidential attributes")
-        return out
+    def swap_scores(self, member_records: np.ndarray, new_record: int) -> list[int]:
+        """Score after replacing each of ``member_records`` by ``new_record``."""
+        columns = []
+        for tracker, scale in zip(self._trackers, self._frame.scales):
+            bins = tracker.frame.bins
+            s = tracker.swap_numerators(bins[member_records], int(bins[new_record]))
+            columns.append([value * scale for value in s.tolist()])
+        return [max(row) for row in zip(*columns)]
 
     def apply_swap(self, removed_record: int, added_record: int) -> None:
         """Commit the replacement of one member record by another."""
-        for tracker, bins in self._trackers:
+        for tracker in self._trackers:
+            bins = tracker.frame.bins
             tracker.apply_swap(int(bins[removed_record]), int(bins[added_record]))
-
-    def snapshot(self) -> dict:
-        """Per-attribute tracker snapshots for an exact-resume checkpoint."""
-        return {
-            f"t{i}": tracker.snapshot()
-            for i, (tracker, _) in enumerate(self._trackers)
-        }
-
-    @classmethod
-    def from_snapshot(
-        cls, model: ConfidentialModel, state: dict
-    ) -> "ClusterTrackerSet":
-        """Rebuild a tracker set against the (deterministically rebuilt)
-        confidential model, continuing bit-for-bit."""
-        trackers = cls.__new__(cls)
-        trackers._model = model
-        trackers._trackers = []
-        for i, (ref, bins) in enumerate(zip(model._refs, model._bins)):
-            sub = state[f"t{i}"]
-            if isinstance(ref, NominalEMDReference):
-                tracker = NominalClusterTracker.from_snapshot(ref, sub)
-            else:
-                tracker = ClusterEMDTracker.from_snapshot(ref, sub)
-            trackers._trackers.append((tracker, bins))
-        return trackers

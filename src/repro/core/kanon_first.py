@@ -9,6 +9,14 @@ is applied whenever it strictly lowers the cluster's EMD.  Swapping (rather
 than growing) keeps the cluster at exactly k records, at the price of some
 quasi-identifier homogeneity.
 
+Every refinement decision is exact.  A cluster's EMD on each confidential
+attribute is an integer numerator over c·n·w
+(:class:`~repro.core.confidential.SwapFrame`), so the stop check against
+t, the choice of the member to swap out (first member on ties) and the
+strict-improvement test are integer comparisons, and the compiled kernel
+behind :meth:`~repro.backend.SerialBackend.refine_swaps` and its Python
+spec decide identically.
+
 Algorithm 2 alone cannot guarantee t-closeness (the candidate pool can run
 dry first — most likely for the last clusters), so, exactly as the paper
 prescribes, the full algorithm runs Algorithm 1's merging phase on the
@@ -21,8 +29,6 @@ Figure 5 shows exactly this gap, and the benchmark harness reproduces it.
 
 from __future__ import annotations
 
-from itertools import islice
-
 import numpy as np
 
 from ..backend import SerialBackend, resolve_backend
@@ -31,83 +37,35 @@ from ..distance.records import encode_mixed
 from ..microagg.engine import ClusteringEngine
 from ..microagg.partition import Partition
 from ..registry import register_method
+from ..runtime import faults
 from ..runtime.faults import fault_point
 from .base import TClosenessResult
-from .confidential import ClusterTrackerSet, ConfidentialModel
+from .confidential import (
+    BUDGET_SPENT,
+    CONVERGED,
+    UNLIMITED,
+    ConfidentialModel,
+    SwapFrame,
+)
 from .merge import merge_to_t_closeness
 
-#: Swaps must improve the EMD by more than this to be applied; guards
-#: against float-noise swap cycles without affecting genuine improvements.
-_MIN_IMPROVEMENT = 1e-12
 
-#: Decision band for the sparse fast path.  Sparse and dense EMD
-#: evaluations sum the same terms in different groupings and agree to
-#: ~1e-14; any comparison (stop check, candidate argmin, accept threshold)
-#: landing within this band of flipping is re-judged with the dense
-#: reference arithmetic (``ClusterTrackerSet.exact_*``), so every decision
-#: — and therefore every partition — matches the dense predecessor
-#: bit-for-bit while the off-band bulk of the work stays O(c log m).
-_TIE_BAND = 1e-12
+def _pool_end(end: int, total: int) -> int:
+    """The next pool prefix length: at least 64 more records, else double.
 
-#: Consecutive rejections before the refinement loop switches from
-#: per-candidate scoring to speculative batch scoring.  Accepted swaps
-#: mutate the tracker, so a speculative block is only profitable when the
-#: upcoming candidates are likely rejections; a rejection run is the
-#: cheapest available predictor.  Below the threshold the loop stays on
-#: the one-candidate path (whose scoring-pass cache also makes the
-#: accepted swap's commit free), so accept-heavy refinement — the tight-t
-#: common case, where >80% of candidates are accepted — pays no
-#: speculation waste at all.
-_BATCH_AFTER = 8
-
-#: Speculative block sizes: start small (a mispredicted acceptance throws
-#: the block's unconsumed scores away), double while the rejections keep
-#: coming (one batched tracker pass costs little more than two
-#: per-candidate dispatches), reset on every acceptance.
-_SCORE_BLOCK_MIN = 16
-_SCORE_BLOCK_MAX = 256
-
-
-def _swap_pool(engine: ClusteringEngine, k: int):
-    """Lazily yield the swap pool — ``engine.sorted_alive()[k:]`` — in order.
-
-    The refinement loop usually consumes a handful of pool records before
-    the cluster reaches t, so sorting the whole shrinking window per cluster
-    (O(n log n), the dominant cost of tight-t runs) is wasted work.  Instead
-    the stable (distance, id) prefix is materialized in geometrically
-    growing steps via :meth:`ClusteringEngine.k_nearest_sorted`, which
-    reuses the already-evaluated seed distances; each prefix is bitwise the
-    corresponding slice of the full stable argsort, so consumption order —
-    and therefore every downstream swap decision — is unchanged.  Deep
-    consumption degrades gracefully: doubling prefixes cost at most ~2x one
-    full sort.
+    The refinement usually consumes a handful of pool records before the
+    cluster reaches t, so the pool — the live records in stable
+    (distance to the seed, id) order — is materialized in geometrically
+    growing prefixes (:meth:`ClusteringEngine.k_nearest_sorted`, bitwise
+    the matching slice of a full stable sort) rather than sorted whole.
     """
-    total = engine.n_alive
-    hi = k
-    while hi < total:
-        new_hi = min(total, max(hi + 64, 2 * hi))
-        prefix = engine.k_nearest_sorted(new_hi)
-        yield from prefix[hi:]
-        hi = new_hi
-
-
-def _cluster_overshoots(tracker, t: float) -> bool:
-    """Dense-faithful ``tracker.emd > t``, consulting the exact value only
-    inside the float-resolution band around t."""
-    emd = tracker.emd
-    if emd <= t - _TIE_BAND:
-        return False
-    if emd > t + _TIE_BAND:
-        return True
-    return tracker.exact_emd > t
+    return min(total, max(end + 64, 2 * end))
 
 
 def _generate_cluster(
     engine: ClusteringEngine,
     seed_record: int,
-    model: ConfidentialModel,
-    k: int,
-    t: float,
+    frame: SwapFrame,
     backend: SerialBackend | str | None = None,
     progress=None,
     outer_state=None,
@@ -123,28 +81,23 @@ def _generate_cluster(
         contain ``seed_record``).
     seed_record:
         The extreme record the cluster grows around.
-    model:
-        Confidential-attribute EMD model (must support trackers).
-    k, t:
-        Minimum cluster size and target closeness.
+    frame:
+        The fit's exact decision frame (carries k and the thresholds of t).
     backend:
-        Compute backend scoring the speculative candidate blocks.
+        Compute backend whose ``refine_swaps`` runs the refinement.
     progress, outer_state:
         Checkpoint wiring for crash-safe fits: ``progress`` is a
-        :class:`~repro.runtime.FitProgress` (or None) ticked at the top
-        of the refinement loop — a point where the cluster's complete
-        state is the member array, the tracker, the pending queue and
-        the pool-consumption count, all of which round-trip exactly —
-        and ``outer_state`` is a callable merging the caller's
-        between-cluster state (engine, finished clusters) into the
-        snapshot.  The engine itself is not mutated during refinement
-        (only seeding evaluates distances), so a mid-cluster snapshot
-        restores it to the exact post-seeding buffers, and the
-        regenerated swap pool yields the same records in the same order.
+        :class:`~repro.runtime.FitProgress` (or None) ticked whenever the
+        refinement stops with the cluster still above t, and
+        ``outer_state`` is a callable merging the caller's between-cluster
+        state (engine, finished clusters) into the snapshot.  The engine
+        is not mutated during refinement (only seeding evaluates
+        distances), so a mid-cluster snapshot restores it to the exact
+        post-seeding buffers and the regenerated pool yields the same
+        records in the same order.
     resume:
-        A mid-cluster snapshot to continue from (skips seeding; the
-        member multiset, tracker and candidate position are restored
-        bitwise), or None for a fresh cluster.
+        A mid-cluster snapshot to continue from (skips seeding; restores
+        the members and the candidate position), or None.
 
     Returns
     -------
@@ -155,153 +108,74 @@ def _generate_cluster(
 
     Notes
     -----
-    Candidates are consumed in exactly the sequential order of the paper's
-    pseudocode (the stable (distance-to-seed, id) pool).  Scoring is
-    *adaptive*: the loop starts on the per-candidate path (one
-    ``swap_emds`` dispatch per pool record, whose scoring-pass cache makes
-    an accepted swap's commit free) and, once ``_BATCH_AFTER`` consecutive
-    candidates have been rejected — the signal that the refinement has
-    entered a scan-dominated stretch — switches to *speculative blocks*:
-    one batched tracker pass (:meth:`~repro.core.confidential
-    .ClusterTrackerSet.swap_emds_batch`, bitwise row-identical to
-    per-candidate scoring, called through the backend's ``score_swaps``)
-    covers a whole block under the assumption that no swap in it is
-    accepted.  An acceptance
-    inside a block invalidates the unconsumed speculative rows — they are
-    pushed back (in order) onto a pending queue and scored again, against
-    the new member multiset, by whichever mode consumes them.  Every
-    decision therefore sees exactly the scores the one-candidate-at-a-time
-    loop computed, and the produced clusters are identical bit-for-bit
-    (pinned by ``tests/microagg/test_kanon_first_golden.py``).  Fetching a
-    few pool records beyond the stopping point is unobservable: the pool
-    is a read-only view of the engine's live set.
+    Candidates are consumed in exactly the order of the paper's
+    pseudocode: the stable (distance-to-seed, id) pool.  The refinement
+    runs in calls to ``backend.refine_swaps``, each over the pool chunk
+    fetched so far; a call returns when the cluster is within t, when
+    the chunk is used up (the pool is then extended) or after a swap
+    budget.  The budget ends a call exactly where the next checkpoint
+    tick falls due (``FitProgress.units_until_due``), and at every swap
+    while an ``alg2.swap`` fault is armed, so snapshots and faults land
+    on the same swap counts whatever the call boundaries.  A snapshot's
+    cluster state is the member array, the swap count and the pool
+    position: everything else is a function of those.
     """
     backend = resolve_backend(backend)
+    k = frame.k
+    total = engine.n_alive
+    end = _pool_end(k, total)
     if resume is None:
-        if engine.n_alive < 2 * k:
+        if total < 2 * k:
             return engine.alive_ids(), 0
-
-        members = engine.k_nearest_sorted(k, point=engine.row(seed_record))
-        tracker = model.make_tracker(members)
-        n_swaps = 0
-        if not _cluster_overshoots(tracker, t):
-            return members, n_swaps
+        # One stable prefix gives the seed's k nearest records and the
+        # first pool chunk after them.
+        prefix = engine.k_nearest_sorted(end, point=engine.row(seed_record))
+        members = prefix[:k].copy()
+        n_swaps = pool_consumed = 0
     else:
-        members = np.asarray(resume["members"], dtype=np.int64)
-        tracker = ClusterTrackerSet.from_snapshot(model, resume["tracker"])
+        members = np.array(resume["members"], dtype=np.int64)
         n_swaps = int(resume["meta"]["n_swaps"])
-
-    def decide(y: int, scores: np.ndarray) -> bool:
-        """The paper's swap decision for one candidate (scores given)."""
-        nonlocal n_swaps
-        j = int(np.argmin(scores))
-        banded = np.flatnonzero(scores <= scores[j] + _TIE_BAND)
-        threshold = tracker.emd - _MIN_IMPROVEMENT
-        if banded.size > 1 or abs(scores[j] - threshold) <= _TIE_BAND:
-            # A candidate tie or a threshold graze at float resolution:
-            # re-judge exactly those candidates with the dense
-            # arithmetic (first index wins, as the dense argmin did).
-            # Records with identical bins across every confidential
-            # attribute score identically, so each distinct bin profile
-            # is evaluated once.
-            exact: dict[tuple[int, ...], float] = {}
-            j, best = -1, np.inf
-            for idx in banded:
-                key = tracker.bins_key(int(members[idx]))
-                if key not in exact:
-                    exact[key] = tracker.exact_swap_emd(int(members[idx]), int(y))
-                if exact[key] < best:
-                    j, best = int(idx), exact[key]
-            accept = best < tracker.exact_emd - _MIN_IMPROVEMENT
-        else:
-            accept = scores[j] < threshold
-        if accept:
-            tracker.apply_swap(int(members[j]), int(y))
-            members[j] = y
-            n_swaps += 1
-            fault_point("alg2.swap")
-        # y is consumed either way (the paper's X' = X' \ {y}).
-        return accept
-
-    # The swap pool — every other unclustered record, ascending by
-    # (distance to the seed, id) — is materialized only now that the
-    # seed cluster overshoots t, and lazily even then: at loose t this
-    # branch almost never runs, and at tight t the loop usually stops
-    # after a few pool records, so no full sort happens either way.
-    pool = _swap_pool(engine, k)
-    pool_consumed = 0
-    pending: list[int] = []  # speculative leftovers, next in pool order
-    rejections = 0
-    block_size = _SCORE_BLOCK_MIN
-    if resume is not None:
-        # The pool is a pure function of the (restored) engine buffers and
-        # k; fast-forwarding it past the already-consumed prefix re-yields
-        # exactly the records the killed run would have seen next.
-        meta = resume["meta"]
-        pool_consumed = int(meta["pool_consumed"])
-        for _ in islice(pool, pool_consumed):
-            pass
-        pending = [int(y) for y in np.asarray(resume["pending"], dtype=np.int64)]
-        rejections = int(meta["rejections"])
-        block_size = int(meta["block_size"])
-
-    def take(count: int) -> list[int]:
-        nonlocal pool_consumed
-        taken = pending[:count]
-        del pending[: len(taken)]
-        if len(taken) < count:
-            fresh = list(islice(pool, count - len(taken)))
-            pool_consumed += len(fresh)
-            taken.extend(fresh)
-        return taken
+        pool_consumed = int(resume["meta"]["pool_consumed"])
+        while end - k < pool_consumed and end < total:
+            end = _pool_end(end, total)
+        prefix = engine.k_nearest_sorted(end)
+    pool = prefix[k:]
 
     def cluster_state() -> dict:
         state = outer_state()
         state["cluster"] = {
-            "members": np.asarray(members, dtype=np.int64),
-            "tracker": tracker.snapshot(),
-            "pending": np.asarray(pending, dtype=np.int64),
+            "members": members.copy(),
             "meta": {
                 "n_swaps": n_swaps,
                 "pool_consumed": pool_consumed,
-                "rejections": rejections,
-                "block_size": block_size,
                 "seed_record": int(seed_record),
             },
         }
         return state
 
-    while _cluster_overshoots(tracker, t):
+    while True:
+        budget = UNLIMITED
         if progress is not None:
-            progress.tick("alg2", base_units + n_swaps, cluster_state)
-        if rejections < _BATCH_AFTER:
-            candidates = take(1)
-            if not candidates:
-                break
-            y = candidates[0]
-            if decide(y, tracker.swap_emds(members, int(y))):
-                rejections = 0
-                block_size = _SCORE_BLOCK_MIN
-            else:
-                rejections += 1
-            continue
-        block = take(block_size)
-        if not block:
-            break
-        block_scores = backend.score_swaps(
-            tracker, members, np.asarray(block, dtype=np.int64)
+            budget = progress.units_until_due("alg2", base_units + n_swaps)
+        if faults.is_armed("alg2.swap"):
+            budget = 1
+        swaps, consumed, status = backend.refine_swaps(
+            frame, members, pool[pool_consumed:], budget
         )
-        for i, y in enumerate(block):
-            if decide(y, block_scores[i]):
-                # The rest of the block was scored against the old member
-                # multiset; hand it back unconsumed and leave batch mode.
-                pending[:0] = block[i + 1 :]
-                rejections = 0
-                block_size = _SCORE_BLOCK_MIN
-                break
+        n_swaps += swaps
+        pool_consumed += consumed
+        for _ in range(swaps):
+            fault_point("alg2.swap")
+        if status == CONVERGED:
+            break
+        if status == BUDGET_SPENT:
+            if progress is not None:
+                progress.tick("alg2", base_units + n_swaps, cluster_state)
+        elif end < total:
+            end = _pool_end(end, total)
+            pool = engine.k_nearest_sorted(end)[k:]
         else:
-            rejections += len(block)
-            block_size = min(2 * block_size, _SCORE_BLOCK_MAX)
+            break  # the pool ran dry above t
     return members, n_swaps
 
 
@@ -332,11 +206,13 @@ def kanonymity_first(
         When false, the raw partition is returned and ``satisfies_t`` may be
         False.
     emd_mode:
-        Only ``"distinct"`` supports the incremental swap evaluation this
-        algorithm is built on.
+        Only ``"distinct"`` has the per-record bins the exact swap
+        refinement is built on.  The fit raises ``ValueError`` unless
+        k·n·m < 2**63 for every confidential attribute (m bins), the
+        bound of its integer arithmetic.
     backend:
-        Compute backend for the distance primitive and the batched swap
-        scoring (``"serial"``, an instance, or ``None`` for the shared
+        Compute backend for the distance primitive and the swap
+        refinement (``"serial"``, an instance, or ``None`` for the shared
         one).
     progress:
         Optional :class:`~repro.runtime.FitProgress` for checkpointed
@@ -363,11 +239,7 @@ def kanonymity_first(
 
     X = encode_mixed(data, data.quasi_identifiers)
     model = ConfidentialModel(data, emd_mode=emd_mode)
-    if not model.supports_trackers:
-        raise ValueError(
-            "kanonymity_first requires emd_mode='distinct' for incremental "
-            "swap evaluation"
-        )
+    frame = model.swap_frame(k, t)
 
     backend = resolve_backend(backend)
     engine = ClusteringEngine(X, backend=backend)
@@ -423,9 +295,7 @@ def kanonymity_first(
         members, swaps = _generate_cluster(
             engine,
             seed,
-            model,
-            k,
-            t,
+            frame,
             backend,
             progress=progress,
             outer_state=outer_state,

@@ -70,8 +70,7 @@ Partitioner = Callable[[np.ndarray, int], Partition]
 #: enough to pick a different — equally near — merge partner).
 _PARTNER_MARGIN = 1e-6
 
-#: Decision band for the sparse EMD fast path (see
-#: ``repro.core.kanon_first._TIE_BAND``): worst-cluster selection, the
+#: Decision band for the sparse EMD fast path: worst-cluster selection, the
 #: stop check against t and lowest-emd partner selection re-judge any
 #: comparison within this band of flipping with the dense Definition-2
 #: arithmetic the pre-refactor merge loop used throughout.

@@ -15,8 +15,7 @@ The CASC distribution site has been offline for years, so this module
 generates a seeded surrogate with the same record count, the same attribute
 names, income-shaped (right-skewed) quasi-identifier marginals, and — the
 property the paper's analysis hinges on — the same two correlation regimes
-between quasi-identifiers and confidential attribute.  See DESIGN.md §3 for
-the substitution rationale.
+between quasi-identifiers and confidential attribute.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ The real extract is distributed under a data-use agreement, so this module
 generates a seeded surrogate with the same record count, the same
 quasi-identifier dimensionality (7), realistic mixed-scale marginals
 (discrete ages, day-of-year codes, skewed charges) and the same weak
-QI-confidential dependence.  See DESIGN.md §3.
+QI-confidential dependence.
 """
 
 from __future__ import annotations
@@ -69,8 +69,7 @@ def load_patient_discharge(
     ----------
     n:
         Number of records.  The paper's extract has 23,435; the benchmark
-        harness defaults to a subsample because Algorithm 2 is O(n^3/k)
-        (see EXPERIMENTS.md).
+        harness defaults to a subsample because Algorithm 2 is O(n^3/k).
     seed:
         RNG seed; the default pins the data used throughout this repo.
     """

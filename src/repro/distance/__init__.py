@@ -3,7 +3,9 @@
 from .emd import (
     ClusterEMDTracker,
     NominalClusterTracker,
+    NominalEMDFrame,
     NominalEMDReference,
+    OrderedEMDFrame,
     OrderedEMDReference,
     emd_hierarchical,
     emd_nominal,
@@ -24,8 +26,10 @@ from .taxonomy import Taxonomy, TaxonomyError
 
 __all__ = [
     "OrderedEMDReference",
+    "OrderedEMDFrame",
     "ClusterEMDTracker",
     "NominalEMDReference",
+    "NominalEMDFrame",
     "NominalClusterTracker",
     "emd_ordered",
     "emd_nominal",

@@ -15,7 +15,7 @@ breadth-first from the most specific vector, with monotone pruning of
 dominated vectors; for the handful of quasi-identifiers and levels typical
 of full-domain recoding this is exact and fast.  (The original paper adds a
 subset-lattice pre-filtering phase that accelerates — but does not change —
-the result; it is omitted here and noted in DESIGN.md.)
+the result; it is omitted here.)
 """
 
 from __future__ import annotations

@@ -64,7 +64,7 @@ from .serialize import (
 )
 
 #: Bumped whenever the on-disk checkpoint layout changes incompatibly.
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 _META_KEY = "__meta__"
 
@@ -393,6 +393,15 @@ class FitProgress:
         if state is not None:
             self._last_units[stage] = self.store.progress_units(stage)
         return state
+
+    def units_until_due(self, stage: str, units: int) -> int:
+        """Units left, from ``units``, until :meth:`tick` next writes (>= 1).
+
+        At least 1 even when a tick was already due (one declined by
+        ``min_interval_s``), so a loop that runs to this many units
+        between ticks always advances.
+        """
+        return max(1, self._last_units.get(stage, 0) + self._cadence(stage) - units)
 
     def tick(
         self,

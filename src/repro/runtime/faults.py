@@ -124,6 +124,11 @@ def armed() -> dict[str, str]:
     return {name: f"{a.action}@{a.at}" for name, a in _armed.items()}
 
 
+def is_armed(name: str) -> bool:
+    """Whether the fault point ``name`` is armed."""
+    return name in _armed
+
+
 def load_env() -> None:
     """Arm fault points from ``REPRO_FAULTS`` (call once at startup)."""
     specs = os.environ.get(_ENV_VAR, "")

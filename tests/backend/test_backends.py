@@ -1,6 +1,6 @@
 """Unit contracts of the compute backend and the engine's selections.
 
-Three kinds of guarantees are pinned here:
+Two kinds of guarantees are pinned here:
 
 * **resolution** — ``None`` and ``"serial"`` give one shared instance,
   instances pass through, and any other name fails loudly, at the
@@ -10,10 +10,10 @@ Three kinds of guarantees are pinned here:
   ``assign_nearest`` keeps the lowest-id tie rule and validates its input,
   and the engine's masked selections (farthest, nearest, the k-nearest
   bound) pick exactly what argmax/argmin/a stable sort over the reference
-  distances pick, including on adversarial all-ties inputs;
-* **batched swap scoring** — ``swap_emds_batch`` rows equal the
-  one-candidate ``swap_emds`` vectors bitwise for ordered and nominal
-  trackers, and a committed swap lands on the same float either way.
+  distances pick, including on adversarial all-ties inputs.
+
+The third primitive, ``refine_swaps``, has its own suite
+(``test_refine_kernel.py``).
 """
 
 import numpy as np
@@ -21,12 +21,6 @@ import pytest
 
 from repro import Anonymizer, KAnonymity
 from repro.backend import SerialBackend, accepts_backend, resolve_backend
-from repro.distance.emd import (
-    ClusterEMDTracker,
-    NominalClusterTracker,
-    NominalEMDReference,
-    OrderedEMDReference,
-)
 from repro.distance.records import sq_distances_to
 from repro.microagg import mdav
 from repro.microagg.engine import ClusteringEngine
@@ -199,110 +193,3 @@ class TestPrimitiveEquivalence:
             backend.assign_nearest(np.zeros((3, 2)), np.zeros((0, 2)))
         with pytest.raises(ValueError):
             backend.assign_nearest(np.zeros((3, 2)), np.zeros((4, 3)))
-
-
-def _ordered_tracker(rng, n=120):
-    vals = rng.integers(0, max(2, n // 2), size=n).astype(float)
-    ref = OrderedEMDReference(vals, mode="distinct")
-    c = int(rng.integers(2, 10))
-    return ClusterEMDTracker(ref, ref.bins_of(rng.choice(vals, size=c))), ref
-
-
-class TestSwapEmdsBatch:
-    def test_ordered_rows_bitwise_equal_single(self):
-        rng = np.random.default_rng(10)
-        for _ in range(50):
-            tracker, ref = _ordered_tracker(rng)
-            removes = tracker._member_bins.copy()
-            adds = rng.integers(0, ref.m, size=int(rng.integers(1, 16)))
-            batch = tracker.swap_emds_batch(removes, adds)
-            assert batch.shape == (adds.size, removes.size)
-            for b, add in enumerate(adds):
-                np.testing.assert_array_equal(
-                    batch[b], tracker.swap_emds(removes, int(add))
-                )
-
-    def test_ordered_apply_commits_same_float_after_batch(self):
-        rng = np.random.default_rng(11)
-        for _ in range(30):
-            batch_tr, ref = _ordered_tracker(rng)
-            single_tr = ClusterEMDTracker(ref, batch_tr._member_bins.copy())
-            removes = batch_tr._member_bins.copy()
-            add = int(rng.integers(0, ref.m))
-            j = int(rng.integers(0, removes.size))
-            if removes[j] == add:
-                continue
-            batch_tr.swap_emds_batch(removes, np.array([add]))
-            single_tr.swap_emds(removes, add)  # populates the scoring cache
-            batch_tr.apply_swap(int(removes[j]), add)
-            single_tr.apply_swap(int(removes[j]), add)
-            # Committed EMD identical whether the score came from the batch
-            # pass (recomputed on commit) or the cached scoring pass.
-            assert batch_tr.emd == single_tr.emd
-            np.testing.assert_array_equal(
-                batch_tr._member_bins, single_tr._member_bins
-            )
-
-    def test_ordered_batch_is_read_only(self):
-        rng = np.random.default_rng(12)
-        tracker, ref = _ordered_tracker(rng)
-        state = (
-            tracker._member_bins.copy(),
-            tracker._uniq.copy(),
-            tracker._cum_counts.copy(),
-            tracker.emd,
-        )
-        tracker.swap_emds_batch(
-            tracker._member_bins.copy(), np.arange(min(8, ref.m))
-        )
-        np.testing.assert_array_equal(tracker._member_bins, state[0])
-        np.testing.assert_array_equal(tracker._uniq, state[1])
-        np.testing.assert_array_equal(tracker._cum_counts, state[2])
-        assert tracker.emd == state[3]
-
-    def test_ordered_batch_validation_and_noop(self):
-        rng = np.random.default_rng(13)
-        tracker, ref = _ordered_tracker(rng)
-        removes = tracker._member_bins.copy()
-        with pytest.raises(IndexError):
-            tracker.swap_emds_batch(removes, np.array([ref.m]))
-        with pytest.raises(IndexError):
-            tracker.swap_emds_batch(np.array([-1]), np.array([0]))
-        batch = tracker.swap_emds_batch(removes, removes[:1])
-        assert batch[0, 0] == tracker.emd  # remove == add is a no-op score
-        empty = tracker.swap_emds_batch(removes, np.array([], dtype=np.int64))
-        assert empty.shape == (0, removes.size)
-
-    def test_nominal_rows_bitwise_equal_single(self):
-        rng = np.random.default_rng(14)
-        for _ in range(50):
-            ncat = int(rng.integers(2, 9))
-            codes = rng.integers(0, ncat, size=int(rng.integers(10, 80)))
-            ref = NominalEMDReference(codes, ncat)
-            members = rng.choice(codes, size=int(rng.integers(2, 8)))
-            tracker = NominalClusterTracker(ref, members)
-            adds = rng.integers(0, ncat, size=int(rng.integers(1, 12)))
-            batch = tracker.swap_emds_batch(members, adds)
-            for b, add in enumerate(adds):
-                np.testing.assert_array_equal(
-                    batch[b], tracker.swap_emds(members, int(add))
-                )
-
-    def test_score_swaps_sharding_matches_one_call(self):
-        """Scoring rows are independent of which candidates share a call."""
-        rng = np.random.default_rng(15)
-        tracker, ref = _ordered_tracker(rng, n=200)
-
-        class TrackerSetLike:
-            def swap_emds_batch(self, members, cands):
-                return tracker.swap_emds_batch(members, cands)
-
-        removes = tracker._member_bins.copy()
-        adds = rng.integers(0, ref.m, size=40)
-        backend = SerialBackend()
-        whole = backend.score_swaps(TrackerSetLike(), removes, adds)
-        pieces = [
-            backend.score_swaps(TrackerSetLike(), removes, adds[i : i + 7])
-            for i in range(0, adds.size, 7)
-        ]
-        np.testing.assert_array_equal(whole, np.vstack(pieces))

@@ -424,4 +424,4 @@ class TestSelfCheck:
                     if d2 < best_d2[i] or (defect == "tie" and d2 == best_d2[i]):
                         best_d2[i], assignment[i] = d2, index.ids[p]
 
-        assert not _native._self_check(broken)
+        assert not _native._self_check(_native.load()._replace(kd_nearest=broken))

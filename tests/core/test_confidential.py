@@ -1,9 +1,13 @@
 """Tests for the ConfidentialModel / ClusterTrackerSet abstraction."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from repro.core import ConfidentialModel
+from repro.core.confidential import check_exact_bound
+from repro.distance import NominalEMDFrame
 from repro.data import AttributeRole, Microdata, nominal, numeric, ordinal
 from repro.distance import OrderedEMDReference, emd_nominal
 
@@ -92,7 +96,7 @@ class TestConfidentialModel:
     def test_rank_mode_rejects_trackers(self, numeric_data):
         model = ConfidentialModel(numeric_data, emd_mode="rank")
         with pytest.raises(ValueError, match="distinct"):
-            model.make_tracker(np.array([0, 1]))
+            model.swap_frame(2, 0.1)
 
     def test_ordinal_confidential_supported(self):
         md = Microdata(
@@ -112,45 +116,94 @@ class TestConfidentialModel:
         assert model.cluster_emd(np.array([0, 1])) > 0.3
 
 
+def dense_emd(frame, members) -> Fraction:
+    """Max-over-attributes Definition-2 EMD, densely and exactly."""
+    worst, c = Fraction(0), len(members)
+    for f in frame.frames:
+        cluster = np.bincount(f.bins[members], minlength=f.m)
+        if isinstance(f, NominalEMDFrame):
+            s = np.abs(f.n * cluster - c * f.counts).sum()
+        else:
+            s = np.abs(f.n * np.cumsum(cluster) - c * f.cum).sum()
+        worst = max(worst, Fraction(int(s), c * f.n * f.weight))
+    return worst
+
+
+def exact_emd(frame, tracker, c) -> Fraction:
+    """The tracker set's score as the cluster EMD: score / (c*n*W)."""
+    common = frame.scales[0] * frame.frames[0].weight
+    return Fraction(tracker.score, c * frame.n * common)
+
+
 class TestClusterTrackerSet:
     def test_tracker_emd_matches_model(self, mixed_conf_data):
         model = ConfidentialModel(mixed_conf_data)
         members = np.array([0, 7, 14])
-        tracker = model.make_tracker(members)
-        assert tracker.emd == pytest.approx(model.cluster_emd(members))
+        frame = model.swap_frame(3, 0.1)
+        tracker = frame.tracker(members)
+        assert exact_emd(frame, tracker, 3) == dense_emd(frame, members)
+        assert float(exact_emd(frame, tracker, 3)) == pytest.approx(
+            model.cluster_emd(members)
+        )
 
     def test_swap_emds_match_full_recompute(self, mixed_conf_data):
         model = ConfidentialModel(mixed_conf_data)
         members = np.array([0, 7, 14, 21])
-        tracker = model.make_tracker(members)
+        frame = model.swap_frame(4, 0.1)
+        tracker = frame.tracker(members)
         candidate = 3
-        scores = tracker.swap_emds(members, candidate)
+        scores = tracker.swap_scores(members, candidate)
+        unit = exact_emd(frame, tracker, 4) / tracker.score
         for j in range(len(members)):
             swapped = members.copy()
             swapped[j] = candidate
-            assert scores[j] == pytest.approx(model.cluster_emd(swapped))
+            assert scores[j] * unit == dense_emd(frame, swapped)
 
     def test_apply_swap_consistency(self, mixed_conf_data):
         model = ConfidentialModel(mixed_conf_data)
         members = np.array([2, 9, 16])
-        tracker = model.make_tracker(members)
+        frame = model.swap_frame(3, 0.1)
+        tracker = frame.tracker(members)
         tracker.apply_swap(9, 25)
         members[1] = 25
-        assert tracker.emd == pytest.approx(model.cluster_emd(members))
+        assert exact_emd(frame, tracker, 3) == dense_emd(frame, members)
 
     def test_empty_cluster_rejected(self, numeric_data):
-        model = ConfidentialModel(numeric_data)
+        frame = ConfidentialModel(numeric_data).swap_frame(2, 0.1)
         with pytest.raises(ValueError, match="non-empty"):
-            model.make_tracker(np.array([], dtype=int))
+            frame.tracker(np.array([], dtype=int))
 
     def test_random_walk_consistency(self, mixed_conf_data):
         rng = np.random.default_rng(13)
         model = ConfidentialModel(mixed_conf_data)
         members = np.array([0, 5, 10, 15])
-        tracker = model.make_tracker(members)
+        frame = model.swap_frame(4, 0.1)
+        tracker = frame.tracker(members)
         for _ in range(25):
             j = int(rng.integers(len(members)))
             candidate = int(rng.integers(mixed_conf_data.n_records))
             tracker.apply_swap(int(members[j]), candidate)
             members[j] = candidate
-            assert tracker.emd == pytest.approx(model.cluster_emd(members))
+            emd = exact_emd(frame, tracker, 4)
+            assert emd == dense_emd(frame, members)
+            assert tracker.overshoots() == (emd > Fraction(0.1))
+
+
+class TestSwapFrame:
+    def test_threshold_is_exact_at_t(self, numeric_data):
+        """A cluster whose EMD is exactly t (as rationals) stays within t;
+        Fraction(t) of the float t decides, with no tolerance."""
+        model = ConfidentialModel(numeric_data)
+        members = np.array([0, 1])
+        frame = model.swap_frame(2, 0.5)
+        exact = exact_emd(frame, frame.tracker(members), 2)
+        assert not model.swap_frame(2, exact).tracker(members).overshoots()
+        below = np.nextafter(float(exact), 0.0)
+        if Fraction(below) < exact:
+            assert model.swap_frame(2, below).tracker(members).overshoots()
+
+    def test_bound_edge(self):
+        # 2**63 - 1 = 7**2 * 73 * 127 * 337 * 92737 * 649657
+        check_exact_bound(49, 73 * 127 * 337, 92737 * 649657)
+        with pytest.raises(ValueError, match=r"2\*\*63"):
+            check_exact_bound(2, 2**31, 2**31)

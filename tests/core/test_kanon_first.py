@@ -50,7 +50,7 @@ class TestGenerateCluster:
         model = ConfidentialModel(data)
         remaining = np.arange(7)
         members, swaps = _generate_cluster(
-            engine_over(X, remaining), 0, model, k=4, t=0.1
+            engine_over(X, remaining), 0, model.swap_frame(4, 0.1)
         )
         np.testing.assert_array_equal(members, remaining)
         assert swaps == 0
@@ -59,7 +59,7 @@ class TestGenerateCluster:
         data = random_dataset(40, 1)
         X = data.qi_matrix()
         model = ConfidentialModel(data)
-        members, _ = _generate_cluster(engine_over(X), 0, model, k=5, t=0.05)
+        members, _ = _generate_cluster(engine_over(X), 0, model.swap_frame(5, 0.05))
         assert len(members) == 5
         assert len(np.unique(members)) == 5
 
@@ -67,7 +67,7 @@ class TestGenerateCluster:
         data = random_dataset(40, 2)
         X = data.qi_matrix()
         model = ConfidentialModel(data)
-        members, swaps = _generate_cluster(engine_over(X), 0, model, k=5, t=1.0)
+        members, swaps = _generate_cluster(engine_over(X), 0, model.swap_frame(5, 1.0))
         assert swaps == 0
         # Without swaps the cluster is exactly the seed's k nearest records.
         from repro.distance import k_nearest_indices
@@ -80,9 +80,9 @@ class TestGenerateCluster:
         X = data.qi_matrix()
         model = ConfidentialModel(data)
         strict_members, swaps = _generate_cluster(
-            engine_over(X), 0, model, k=4, t=0.01
+            engine_over(X), 0, model.swap_frame(4, 0.01)
         )
-        loose_members, _ = _generate_cluster(engine_over(X), 0, model, k=4, t=1.0)
+        loose_members, _ = _generate_cluster(engine_over(X), 0, model.swap_frame(4, 1.0))
         assert swaps > 0
         assert model.cluster_emd(strict_members) <= model.cluster_emd(loose_members)
 

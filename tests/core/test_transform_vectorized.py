@@ -117,9 +117,9 @@ class CountingBackend(SerialBackend):
         self.calls["eval_sq_distances"] += 1
         return super().eval_sq_distances(*args, **kwargs)
 
-    def score_swaps(self, *args, **kwargs):
-        self.calls["score_swaps"] += 1
-        return super().score_swaps(*args, **kwargs)
+    def refine_swaps(self, *args, **kwargs):
+        self.calls["refine_swaps"] += 1
+        return super().refine_swaps(*args, **kwargs)
 
     def assign_nearest(self, *args, **kwargs):
         self.calls["assign_nearest"] += 1
@@ -169,3 +169,16 @@ class TestBackendChoiceIndependence:
             assert_same_release(default.release_, other.release_)
         # The substituted instance really ran the fit's distance work.
         assert substituted.calls["eval_sq_distances"] > 0
+
+    def test_kanon_first_fit_refines_through_the_backend(self):
+        data = make_dataset(300, 7, grid=True)
+        policy = KAnonymity(4) & TCloseness(0.1)
+        default = Anonymizer(policy, method="kanon-first").fit(data)
+        substituted = CountingBackend()
+        other = Anonymizer(policy, method="kanon-first", backend=substituted).fit(data)
+        np.testing.assert_array_equal(
+            default.result_.partition.labels, other.result_.partition.labels
+        )
+        assert other.result_.info["n_swaps"] > 0
+        # Algorithm 2's swap refinement ran on the substituted instance.
+        assert substituted.calls["refine_swaps"] > 0

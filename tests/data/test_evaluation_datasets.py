@@ -1,8 +1,8 @@
 """Tests pinning the properties of the paper's surrogate data sets.
 
-These assertions are what DESIGN.md §3 promises: record counts, schema
-shape, and the correlation regimes the paper's analysis attributes the
-algorithms' behaviour to.
+These assertions pin what the surrogate generators' docstrings promise:
+record counts, schema shape, and the correlation regimes the paper's
+analysis attributes the algorithms' behaviour to.
 """
 
 import numpy as np

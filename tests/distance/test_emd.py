@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.data import load_salary_toy
 from repro.distance import (
     ClusterEMDTracker,
+    OrderedEMDFrame,
     OrderedEMDReference,
     Taxonomy,
     emd_hierarchical,
@@ -158,80 +159,92 @@ class TestOrderedEMDReference:
             )
 
 
+def dense_numerator(frame, bins):
+    """Definition-2 numerator S of a cluster: sum_i |n*cumC_i - c*cumN_i|."""
+    cluster = np.cumsum(np.bincount(np.asarray(bins), minlength=frame.m))
+    return int(np.abs(frame.n * cluster - len(bins) * frame.cum).sum())
+
+
 class TestClusterEMDTracker:
     @pytest.fixture
-    def ref(self):
+    def frame(self):
         rng = np.random.default_rng(5)
-        return OrderedEMDReference(rng.normal(size=200))
+        values = rng.normal(size=200)
+        return OrderedEMDFrame(OrderedEMDReference(values).bins_of(values), 200)
 
     def test_requires_distinct_mode(self):
+        # Rank mode has no per-record bins to build an integer frame from.
         ref = OrderedEMDReference(SALARIES, mode="rank")
         with pytest.raises(ValueError, match="distinct"):
-            ClusterEMDTracker(ref, np.array([0]))
+            ClusterEMDTracker(OrderedEMDFrame(ref.bins_of(SALARIES), ref.m), [0])
 
-    def test_rejects_empty_cluster(self, ref):
+    def test_rejects_empty_cluster(self, frame):
         with pytest.raises(ValueError, match="non-empty"):
-            ClusterEMDTracker(ref, np.array([], dtype=int))
+            ClusterEMDTracker(frame, np.array([], dtype=int))
 
-    def test_initial_emd_matches_direct(self, ref):
+    def test_initial_emd_matches_direct(self, frame):
         bins = np.array([0, 10, 50, 120, 199])
-        tracker = ClusterEMDTracker(ref, bins)
-        assert tracker.emd == pytest.approx(ref.emd_of_bins(bins))
+        tracker = ClusterEMDTracker(frame, bins)
+        assert tracker.numerator == dense_numerator(frame, bins)
 
-    def test_swap_emds_match_full_recompute(self, ref):
+    def test_swap_emds_match_full_recompute(self, frame):
         rng = np.random.default_rng(9)
         bins = rng.choice(200, size=8, replace=False)
-        tracker = ClusterEMDTracker(ref, bins)
+        tracker = ClusterEMDTracker(frame, bins)
         add_bin = 137
-        scored = tracker.swap_emds(bins, add_bin)
+        scored = tracker.swap_numerators(bins, add_bin)
         for j, removed in enumerate(bins):
             new_bins = bins.copy()
             new_bins[j] = add_bin
-            assert scored[j] == pytest.approx(ref.emd_of_bins(new_bins))
+            assert scored[j] == dense_numerator(frame, new_bins)
 
-    def test_emd_with_swap_matches_swap_emds(self, ref):
+    def test_emd_with_swap_matches_swap_emds(self, frame):
+        # Scoring one removal alone equals its entry in the vectorized pass.
         bins = np.array([3, 77, 150])
-        tracker = ClusterEMDTracker(ref, bins)
-        scored = tracker.swap_emds(bins, 42)
+        tracker = ClusterEMDTracker(frame, bins)
+        scored = tracker.swap_numerators(bins, 42)
         for j, removed in enumerate(bins):
-            assert tracker.emd_with_swap(int(removed), 42) == pytest.approx(scored[j])
+            assert tracker.swap_numerators([removed], 42)[0] == scored[j]
 
-    def test_apply_swap_updates_state(self, ref):
+    def test_apply_swap_updates_state(self, frame):
         bins = np.array([3, 77, 150])
-        tracker = ClusterEMDTracker(ref, bins)
-        target = tracker.emd_with_swap(77, 42)
+        tracker = ClusterEMDTracker(frame, bins)
+        target = tracker.swap_numerators([77], 42)[0]
         tracker.apply_swap(77, 42)
-        assert tracker.emd == pytest.approx(target)
-        new_bins = np.array([3, 42, 150])
-        assert tracker.emd == pytest.approx(ref.emd_of_bins(new_bins))
+        assert tracker.numerator == target
+        assert tracker.numerator == dense_numerator(frame, [3, 42, 150])
 
-    def test_noop_swap(self, ref):
-        tracker = ClusterEMDTracker(ref, np.array([5, 6]))
-        before = tracker.emd
-        assert tracker.emd_with_swap(5, 5) == pytest.approx(before)
+    def test_noop_swap(self, frame):
+        tracker = ClusterEMDTracker(frame, np.array([5, 6]))
+        before = tracker.numerator
+        assert tracker.swap_numerators([5], 5)[0] == before
         tracker.apply_swap(5, 5)
-        assert tracker.emd == pytest.approx(before)
+        assert tracker.numerator == before
 
-    def test_swap_out_of_range(self, ref):
-        tracker = ClusterEMDTracker(ref, np.array([5]))
+    def test_swap_out_of_range(self, frame):
+        tracker = ClusterEMDTracker(frame, np.array([5]))
         with pytest.raises(IndexError, match="out of range"):
-            tracker.emd_with_swap(5, 10_000)
+            tracker.swap_numerators([5], 10_000)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_many_random_swaps_stay_consistent(self, seed):
-        """Tracker EMD equals from-scratch EMD after a random swap walk."""
+        """Tracker numerator equals the from-scratch one after a swap walk."""
         rng = np.random.default_rng(seed)
         dataset = rng.normal(size=60)
         ref = OrderedEMDReference(dataset)
+        frame = OrderedEMDFrame(ref.bins_of(dataset), ref.m)
         bins = rng.choice(60, size=5, replace=False)
-        tracker = ClusterEMDTracker(ref, bins)
+        tracker = ClusterEMDTracker(frame, bins)
         for _ in range(15):
             j = rng.integers(0, 5)
             add = int(rng.integers(0, ref.m))
             tracker.apply_swap(int(bins[j]), add)
             bins[j] = add
-        assert tracker.emd == pytest.approx(ref.emd_of_bins(bins))
+        assert tracker.numerator == dense_numerator(frame, bins)
+        assert tracker.numerator / (5 * 60 * frame.weight) == pytest.approx(
+            ref.emd_of_bins(bins)
+        )
 
 
 class TestNominalEMD:

@@ -1,14 +1,16 @@
-"""Differential tests: sparse ordered-EMD paths vs the dense definition.
+"""Differential tests: sparse and incremental EMD paths vs the dense definition.
 
-``OrderedEMDReference.emd_of_bins_sparse`` is the O(c log m) segment
-evaluation that the incremental swap/merge engine of Algorithm 2 is built
-on, and ``ClusterEMDTracker`` scores and commits swaps through the same
-segment arithmetic.  Both must agree with the *dense* Definition-2
-evaluation (``emd_of_bins`` — explicit histogram, cumulative sum, absolute
-sum) to float precision on any cluster, any swap, and any adversarial
-shape: clusters spanning empty bins, single-bin clusters, all-duplicate
-datasets, a one-bin reference (m=1), and — exhaustively — every multiset
-cluster and every (remove, add) pair over small bin grids.
+``OrderedEMDReference.emd_of_bins_sparse`` is the O(c log m) float segment
+evaluation the merge phase and bulk reporting use; it must agree with the
+*dense* Definition-2 evaluation (``emd_of_bins`` — explicit histogram,
+cumulative sum, absolute sum) to float precision.  Algorithm 2's trackers
+(``ClusterEMDTracker``, ``NominalClusterTracker``) score and commit swaps
+as exact integer numerators S (EMD = S / (c*n*w)); every score must equal
+the dense definition's numerator *exactly*.  Both are exercised on any
+cluster, any swap, and adversarial shapes: clusters spanning empty bins,
+single-bin clusters, all-duplicate datasets, a one-bin reference (m=1),
+and — exhaustively — every multiset cluster and every (remove, add) pair
+over small bin grids.
 """
 
 import itertools
@@ -21,20 +23,38 @@ from hypothesis import strategies as st
 from repro.distance.emd import (
     ClusterEMDTracker,
     NominalClusterTracker,
+    NominalEMDFrame,
     NominalEMDReference,
+    OrderedEMDFrame,
     OrderedEMDReference,
 )
 
-#: Sparse and dense evaluations sum identical terms in different orders;
-#: agreement is asserted to well below any decision margin in the library.
+#: Sparse and dense float evaluations sum identical terms in different
+#: orders; agreement is asserted to well below any float decision margin.
 ATOL = 1e-12
 
 
-def dense_swap_emd(ref, bins, j, add_bin):
-    """Definitional EMD of ``bins`` with member ``j`` replaced by ``add_bin``."""
+def ordered_frame(values):
+    """Distinct-mode reference and integer frame of one dataset column."""
+    ref = OrderedEMDReference(values, mode="distinct")
+    return ref, OrderedEMDFrame(ref.bins_of(values), ref.m)
+
+
+def dense_numerator(frame, bins):
+    """The Definition-2 numerator S of a cluster, densely over every bin."""
+    c = len(bins)
+    cluster = np.bincount(np.asarray(bins), minlength=frame.m)
+    if isinstance(frame, NominalEMDFrame):
+        return int(np.abs(frame.n * cluster - c * frame.counts).sum())
+    gap = frame.n * np.cumsum(cluster) - c * frame.cum
+    return int(np.abs(gap).sum())
+
+
+def dense_swap_numerator(frame, bins, j, add_bin):
+    """Dense S of ``bins`` with member ``j`` replaced by ``add_bin``."""
     swapped = np.asarray(bins).copy()
     swapped[j] = add_bin
-    return ref.emd_of_bins(swapped)
+    return dense_numerator(frame, swapped)
 
 
 @settings(max_examples=60, deadline=None)
@@ -108,14 +128,15 @@ class TestSparseAdversarial:
     def test_m_equals_one(self):
         # Degenerate reference: every dataset value identical, one bin,
         # denom clamped to 1; every cluster has EMD exactly 0.
-        ref = OrderedEMDReference(np.full(6, 42.0), mode="distinct")
+        ref, frame = ordered_frame(np.full(6, 42.0))
+        assert frame.weight == 1
         for c in (1, 2, 5):
             bins = np.zeros(c, dtype=int)
             assert ref.emd_of_bins(bins) == 0.0
             assert ref.emd_of_bins_sparse(bins) == 0.0
-            tracker = ClusterEMDTracker(ref, bins)
-            assert tracker.emd == 0.0
-            assert tracker.swap_emds(bins, 0) == pytest.approx(0.0)
+            tracker = ClusterEMDTracker(frame, bins)
+            assert tracker.numerator == 0
+            assert (tracker.swap_numerators(bins, 0) == 0).all()
 
     def test_cluster_size_larger_than_bins(self):
         values = np.array([0.0, 0.0, 1.0, 1.0, 2.0])
@@ -127,7 +148,7 @@ class TestSparseAdversarial:
 
 
 class TestTrackerDifferential:
-    """The incremental swap deltas vs the dense definitional evaluation."""
+    """The incremental swap numerators vs the dense definitional numerator."""
 
     @settings(max_examples=60)
     @given(
@@ -142,129 +163,111 @@ class TestTrackerDifferential:
             values = rng.integers(0, max(2, n // 3), size=n).astype(float)
         else:
             values = rng.permutation(np.arange(float(n)))
-        ref = OrderedEMDReference(values, mode="distinct")
+        ref, frame = ordered_frame(values)
         bins = rng.integers(0, ref.m, size=c)
-        tracker = ClusterEMDTracker(ref, bins)
+        tracker = ClusterEMDTracker(frame, bins)
+        assert tracker.numerator == dense_numerator(frame, bins)
         add_bin = int(rng.integers(0, ref.m))
-        scores = tracker.swap_emds(bins, add_bin)
+        scores = tracker.swap_numerators(bins, add_bin)
         for j in range(c):
-            assert scores[j] == pytest.approx(
-                dense_swap_emd(ref, bins, j, add_bin), abs=ATOL
-            )
+            assert scores[j] == dense_swap_numerator(frame, bins, j, add_bin)
+        # The numerator is the dense float EMD over c*n*w.
+        assert tracker.numerator / (c * n * frame.weight) == pytest.approx(
+            ref.emd_of_bins(bins), abs=ATOL
+        )
 
     @settings(max_examples=40)
     @given(n=st.integers(2, 60), c=st.integers(1, 8), seed=st.integers(0, 10_000))
     def test_random_swap_walk_stays_on_dense_definition(self, n, c, seed):
-        """After any sequence of applied swaps, cached, sparse and dense
-        evaluations of the current cluster all agree."""
+        """After any sequence of applied swaps, the committed numerator is
+        the dense definition's numerator of the current cluster."""
         rng = np.random.default_rng(seed)
         values = rng.integers(0, max(2, n // 2), size=n).astype(float)
-        ref = OrderedEMDReference(values, mode="distinct")
+        ref, frame = ordered_frame(values)
         bins = rng.integers(0, ref.m, size=c)
-        tracker = ClusterEMDTracker(ref, bins)
+        tracker = ClusterEMDTracker(frame, bins)
         for _ in range(12):
             j = int(rng.integers(c))
             add = int(rng.integers(ref.m))
+            scored = tracker.swap_numerators(bins[j : j + 1], add)[0]
             tracker.apply_swap(int(bins[j]), add)
             bins[j] = add
-            assert tracker.emd == pytest.approx(ref.emd_of_bins(bins), abs=ATOL)
-            assert tracker.exact_emd == pytest.approx(
-                ref.emd_of_bins(bins), abs=ATOL
-            )
+            assert tracker.numerator == scored == dense_numerator(frame, bins)
 
     def test_exhaustive_small_m(self):
         """Every multiset cluster x every (remove, add) pair, m in 1..4.
 
         Small grids are where segment edge cases concentrate (leading
-        segment empty, add_bin below/above every member, total mass 1 on
+        segment empty, add_bin below/above every member, total mass on
         the last bin); enumeration leaves no corner unvisited.
         """
         for m in range(1, 5):
             # A dataset with m distinct values, mildly non-uniform.
             values = np.repeat(np.arange(float(m)), np.arange(1, m + 1))
-            ref = OrderedEMDReference(values, mode="distinct")
+            ref, frame = ordered_frame(values)
             assert ref.m == m
             for c in range(1, 4):
                 for bins in itertools.combinations_with_replacement(range(m), c):
                     bins = np.array(bins)
-                    tracker = ClusterEMDTracker(ref, bins)
-                    assert tracker.emd == pytest.approx(
-                        ref.emd_of_bins(bins), abs=ATOL
-                    )
+                    tracker = ClusterEMDTracker(frame, bins)
+                    assert tracker.numerator == dense_numerator(frame, bins)
                     for j, add in itertools.product(range(c), range(m)):
-                        expected = dense_swap_emd(ref, bins, j, add)
-                        scores = tracker.swap_emds(bins, add)
-                        assert scores[j] == pytest.approx(expected, abs=ATOL)
-                        assert tracker.emd_with_swap(
-                            int(bins[j]), add
-                        ) == pytest.approx(expected, abs=ATOL)
-
-    @settings(max_examples=30)
-    @given(n=st.integers(2, 60), c=st.integers(1, 8), seed=st.integers(0, 10_000))
-    def test_exact_arithmetic_within_band_of_sparse(self, n, c, seed):
-        """The dense-adjudication values stay within the decision band
-        (1e-12) of the sparse fast path — the invariant the banded
-        tie-breaking in Algorithm 2 and the merge phase relies on."""
-        rng = np.random.default_rng(seed)
-        values = rng.integers(0, max(2, n // 2), size=n).astype(float)
-        ref = OrderedEMDReference(values, mode="distinct")
-        bins = rng.integers(0, ref.m, size=c)
-        tracker = ClusterEMDTracker(ref, bins)
-        assert abs(tracker.emd - tracker.exact_emd) < 1e-12
-        add_bin = int(rng.integers(ref.m))
-        scores = tracker.swap_emds(bins, add_bin)
-        for j in range(c):
-            exact = tracker.exact_swap_emd(int(bins[j]), add_bin)
-            assert abs(scores[j] - exact) < 1e-12
+                        expected = dense_swap_numerator(frame, bins, j, add)
+                        assert tracker.swap_numerators(bins, add)[j] == expected
+                        assert (
+                            tracker.swap_numerators(bins[j : j + 1], add)[0]
+                            == expected
+                        )
 
 
 class TestSwapContract:
     """Regression tests for the unified swap-contract of both trackers.
 
-    The two ``swap_emds`` implementations historically drifted: the ordered
-    docstring documented per-member semantics the nominal one lacked, the
-    nominal scorer silently accepted out-of-range (even negative) bins via
-    wrap-around indexing, and neither stated what committing an impossible
-    removal does.  Both now share one contract: replace-at-constant-size
-    semantics, ``remove_bin == add_bin`` scores exactly the current EMD,
-    out-of-range bins raise ``IndexError`` everywhere, and committing a
-    removal from an empty bin raises ``ValueError``.
+    The two scorers historically drifted: the ordered docstring documented
+    per-member semantics the nominal one lacked, the nominal scorer
+    silently accepted out-of-range (even negative) bins via wrap-around
+    indexing, and neither stated what committing an impossible removal
+    does.  Both now share one contract: replace-at-constant-size
+    semantics, ``remove_bin == add_bin`` scores exactly the current
+    numerator, out-of-range bins raise ``IndexError`` everywhere, and
+    committing a removal from an empty bin raises ``ValueError``.
     """
 
     @pytest.fixture
     def ordered(self):
         rng = np.random.default_rng(3)
-        ref = OrderedEMDReference(rng.integers(0, 12, size=40).astype(float))
+        _, frame = ordered_frame(rng.integers(0, 12, size=40).astype(float))
         bins = np.array([0, 2, 2, 5, 8])
-        return ClusterEMDTracker(ref, bins), bins
+        return ClusterEMDTracker(frame, bins), bins
 
     @pytest.fixture
     def nominal(self):
         codes = np.array([0, 0, 1, 2, 2, 2, 3, 4] * 3)
-        ref = NominalEMDReference(codes, 5)
+        frame = NominalEMDFrame(NominalEMDReference(codes, 5).bins_of(codes), 5)
         bins = np.array([0, 2, 2, 3])
-        return NominalClusterTracker(ref, bins), bins
+        return NominalClusterTracker(frame, bins), bins
 
     @pytest.mark.parametrize("which", ["ordered", "nominal"])
     def test_noop_swap_scores_current_emd_exactly(self, which, request):
         tracker, bins = request.getfixturevalue(which)
-        base = tracker.emd
-        scores = tracker.swap_emds(bins, int(bins[1]))
+        base = tracker.numerator
+        scores = tracker.swap_numerators(bins, int(bins[1]))
         noop = bins == bins[1]
-        assert (scores[noop] == base).all()  # bitwise, not approx
-        assert tracker.emd_with_swap(int(bins[1]), int(bins[1])) == base
+        assert (scores[noop] == base).all()
+        tracker.apply_swap(int(bins[1]), int(bins[1]))
+        assert tracker.numerator == base
 
     @pytest.mark.parametrize("which", ["ordered", "nominal"])
     def test_out_of_range_bins_raise_everywhere(self, which, request):
         tracker, bins = request.getfixturevalue(which)
-        m = tracker.ref.m
+        m = tracker.frame.m
         for bad in (-1, m, m + 7):
             with pytest.raises(IndexError, match="out of range"):
-                tracker.swap_emds(np.array([bad]), 0)
+                tracker.swap_numerators(np.array([bad]), 0)
             with pytest.raises(IndexError, match="out of range"):
-                tracker.swap_emds(bins, bad)
+                tracker.swap_numerators(bins, bad)
             with pytest.raises(IndexError, match="out of range"):
-                tracker.emd_with_swap(bad, 0)
+                tracker.apply_swap(bad, 0)
             with pytest.raises(IndexError, match="out of range"):
                 tracker.apply_swap(0, bad)
 
@@ -272,7 +275,7 @@ class TestSwapContract:
     def test_removing_a_non_member_raises(self, which, request):
         tracker, bins = request.getfixturevalue(which)
         absent = next(
-            b for b in range(tracker.ref.m) if b not in set(bins.tolist())
+            b for b in range(tracker.frame.m) if b not in set(bins.tolist())
         )
         with pytest.raises(ValueError, match="not a member"):
             tracker.apply_swap(absent, int(bins[0]))
@@ -280,27 +283,24 @@ class TestSwapContract:
     @pytest.mark.parametrize("which", ["ordered", "nominal"])
     def test_replace_semantics_constant_size(self, which, request):
         """Swaps are simultaneous remove+add at constant cluster size: the
-        scored value equals the from-scratch EMD of the swapped multiset,
-        never of a (c-1)-sized intermediate."""
+        scored value equals the from-scratch numerator of the swapped
+        multiset, never of a (c-1)-sized intermediate."""
         tracker, bins = request.getfixturevalue(which)
-        ref = tracker.ref
         add = int(bins[0])  # present elsewhere too: exercises multiplicity
-        scores = tracker.swap_emds(bins, add)
+        scores = tracker.swap_numerators(bins, add)
         for j in range(len(bins)):
-            swapped = bins.copy()
-            swapped[j] = add
-            assert scores[j] == pytest.approx(ref.emd_of_bins(swapped), abs=ATOL)
+            assert scores[j] == dense_swap_numerator(tracker.frame, bins, j, add)
 
     def test_ordered_apply_commits_the_scored_value(self, ordered):
         tracker, bins = ordered
-        add = (int(bins[-1]) + 1) % tracker.ref.m
-        scores = tracker.swap_emds(bins, add)
+        add = (int(bins[-1]) + 1) % tracker.frame.m
+        scores = tracker.swap_numerators(bins, add)
         tracker.apply_swap(int(bins[2]), add)
-        assert tracker.emd == scores[2]  # bitwise: the committed value IS the score
+        assert tracker.numerator == scores[2]
 
     def test_nominal_apply_consistent_with_scoring(self, nominal):
         tracker, bins = nominal
-        add = (int(bins[-1]) + 1) % tracker.ref.m
-        scores = tracker.swap_emds(bins, add)
+        add = (int(bins[-1]) + 1) % tracker.frame.m
+        scores = tracker.swap_numerators(bins, add)
         tracker.apply_swap(int(bins[2]), add)
-        assert tracker.emd == pytest.approx(scores[2], abs=ATOL)
+        assert tracker.numerator == scores[2]

@@ -1,0 +1,117 @@
+"""Algorithm 2's swap refinement == a brute-force exact rational reference.
+
+:func:`reference_kanon_first` re-runs Algorithm 2 (no merge fallback)
+with none of the library's EMD machinery: the same seeding and the same
+pool order (every live record, stably sorted by distance to the seed),
+and for every trial swap the Definition-2 EMD of the swapped cluster per
+confidential attribute as an exact ``Fraction``, evaluated densely over
+all m bins:
+
+* ordered: ``sum_i |cum_p(i) - cum_q(i)| / (m - 1)`` with p = C/c and
+  q = N/n, i.e. ``sum_i |n*cumC_i - c*cumN_i| / (c*n*(m - 1))``;
+* nominal: ``sum_i |p_i - q_i| / 2``.
+
+The cluster EMD is the max over attributes; the refinement stops once it
+is at most ``Fraction(t)``, takes the first lowest trial and accepts it
+only when strictly below the current EMD.  ``kanonymity_first`` must
+reproduce its partitions and swap counts on every golden dataset, through
+the compiled kernel and through the Python spec (``REPRO_NO_NATIVE=1``).
+This reference is what the re-blessed golden fixtures stand on.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from repro.backend import _native
+from repro.core.confidential import ConfidentialModel
+from repro.core.kanon_first import kanonymity_first
+from repro.distance.emd import NominalEMDReference
+from repro.distance.records import encode_mixed
+from repro.microagg.engine import ClusteringEngine
+from repro.microagg.partition import Partition
+
+from .golden_datasets import E2E_CASES, MICRODATA_CASES, e2e_case, microdata_case
+
+CASES = {case: (e2e_case(name), k, t) for case, name, k, t in E2E_CASES}
+CASES.update({case: (microdata_case(case), k, t) for case, _, k, t in MICRODATA_CASES})
+
+
+def _dense_emd(columns, members) -> Fraction:
+    worst = Fraction(0)
+    c = len(members)
+    for nominal, bins, dataset in columns:
+        n, m = int(dataset.sum()), dataset.size
+        cluster = np.bincount(bins[members], minlength=m)
+        if nominal:
+            emd = Fraction(int(np.abs(n * cluster - c * dataset).sum()), 2 * c * n)
+        else:
+            gap = n * np.cumsum(cluster) - c * np.cumsum(dataset)
+            emd = Fraction(int(np.abs(gap).sum()), c * n * max(m - 1, 1))
+        worst = max(worst, emd)
+    return worst
+
+
+def reference_kanon_first(data, k: int, t: float) -> tuple[np.ndarray, int]:
+    """Partition labels and swap count of Algorithm 2, brute force."""
+    model = ConfidentialModel(data)
+    columns = [
+        (isinstance(ref, NominalEMDReference), bins, np.bincount(bins, minlength=ref.m))
+        for ref, bins in zip(model._refs, model._bins)
+    ]
+    limit = Fraction(t)
+    engine = ClusteringEngine(encode_mixed(data, data.quasi_identifiers))
+    clusters, n_swaps, parity = [], 0, 0
+    while engine.n_alive:
+        seed = engine.farthest_from_centroid() if parity == 0 else engine.farthest()
+        if engine.n_alive < 2 * k:
+            members = engine.alive_ids()
+        else:
+            order = engine.sorted_alive(engine.row(seed))
+            members = order[:k].copy()
+            current = _dense_emd(columns, members)
+            for y in order[k:]:
+                if current <= limit:
+                    break
+                trials = []
+                for j in range(k):
+                    swapped = members.copy()
+                    swapped[j] = y
+                    trials.append(_dense_emd(columns, swapped))
+                best = min(trials)
+                if best < current:
+                    members[trials.index(best)] = y
+                    current = best
+                    n_swaps += 1
+        clusters.append(members)
+        engine.kill(members)
+        parity ^= 1
+    return Partition.from_clusters(clusters, data.n_records).labels, n_swaps
+
+
+@lru_cache(maxsize=None)
+def reference(case: str) -> tuple[np.ndarray, int]:
+    return reference_kanon_first(*CASES[case])
+
+
+@pytest.fixture(params=["kernel", "spec"])
+def path(request, monkeypatch):
+    """Run the fit through the compiled kernel or the Python spec."""
+    if request.param == "spec":
+        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+        monkeypatch.setattr(_native, "_cached", _native._UNSET)
+    elif _native.load() is None:
+        pytest.skip("no usable C toolchain on this host")
+    return request.param
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_kanon_first_equals_exact_reference(case, path):
+    data, k, t = CASES[case]
+    assert (_native.load() is None) == (path == "spec")
+    labels, n_swaps = reference(case)
+    result = kanonymity_first(data, k, t, merge_fallback=False)
+    np.testing.assert_array_equal(result.partition.labels, labels)
+    assert result.info["n_swaps"] == n_swaps

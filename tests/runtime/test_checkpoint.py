@@ -177,6 +177,25 @@ class TestCheckpointStore:
         with pytest.raises(ArtifactVersionError, match="format version 99"):
             CheckpointStore.load(directory)
 
+    def test_format_1_alg2_checkpoint_refused(self, tmp_path, mcd_small, monkeypatch):
+        """A mid-refinement Algorithm 2 checkpoint written by a format-1
+        build (float tracker snapshot, pending queue) cannot be resumed."""
+        from repro import Anonymizer
+        from repro.runtime import faults
+        from repro.runtime.faults import InjectedFault
+
+        assert checkpoint_mod.CHECKPOINT_FORMAT_VERSION == 2
+        monkeypatch.setattr(checkpoint_mod, "CHECKPOINT_FORMAT_VERSION", 1)
+        directory = tmp_path / "ck"
+        faults.arm_from_spec("alg2.swap@30")
+        with pytest.raises(InjectedFault):
+            Anonymizer(KAnonymity(4) & TCloseness(0.08), method="kanon-first").fit(
+                mcd_small, checkpoint=directory, checkpoint_every_swaps=4
+            )
+        monkeypatch.undo()
+        with pytest.raises(ArtifactVersionError, match="format version 1"):
+            Anonymizer.resume(directory)
+
     def test_verify_against_other_data(self, tmp_path, mcd_small):
         from repro.data import load_mcd
 
