@@ -9,11 +9,14 @@ overlaid, since that shared primitive defines the distance rounding for
 seed and engine alike: ``git archive HEAD | tar -x -C /tmp/seed_tree``,
 copy ``records.py`` in, compute labels with the seed algorithms).  One
 entry has a newer provenance: ``kanon-first/md_mixed_strict`` was
-re-blessed when Algorithm 2's swap decisions became exact integer
+re-blessed twice — when Algorithm 2's swap decisions became exact integer
 arithmetic, which resolves exact ties the float code had broken toward a
-later member; its labels are the brute-force exact rational reference's
-(``tests/microagg/test_alg2_reference.py``), which the current code
-reproduces.  It is the contract the engine-backed rewrites are held to:
+later member, and when the merge fallback's decisions did (its merges
+went 17 -> 16); its labels are those of the brute-force exact rational
+references (``tests/microagg/test_alg2_reference.py`` for the swaps,
+``tests/microagg/test_merge_reference.py`` for the merges), which the
+current code reproduces.  It is the contract the engine-backed rewrites
+are held to:
 rerunning this script after any partitioner change must reproduce the
 committed file bit-for-bit.
 
@@ -23,14 +26,19 @@ tight-t cases of ``golden_datasets.E2E_CASES``: kanon-first with and
 without the merge fallback, plus Algorithm 1 (MDAV + merge).  For each
 run it stores the partition labels, the per-cluster EMDs, and the
 swap/merge counters.  It was generated from the dense pre-refactor
-swap/merge implementations (commit 2a51dac tree), except the
-kanon-first entries of ``md_numeric_strict`` and ``md_single_qi_tight``:
-with exact swap decisions their raw partitions are the exact rational
-reference's (the float code broke exact ties differently), so those
-entries were regenerated from the current code after it was proven
-equal to that reference.  Labels and counters are compared bit-for-bit,
-EMDs within 1e-12 — reported EMD values are evaluated sparsely, which
-regroups the dense float summation and may shift the last ulp.
+swap/merge implementations (commit 2a51dac tree), except two sets of
+kanon-first entries.  With exact swap decisions the raw partitions of
+``md_numeric_strict`` and ``md_single_qi_tight`` are the exact rational
+reference's (the float code broke exact ties differently).  With exact
+merge decisions ``md_nominal_secret``'s full run merges 14 times instead
+of 13: after 13 merges a class sits at EMD exactly 3/20 with t = 0.15,
+and the float 0.15 is 3/20 - 5.6e-18, so the class overshoots t.  Those
+entries were regenerated from the current code after it was proven equal
+to the references (``test_alg2_reference.py``,
+``test_merge_reference.py``).  Labels and counters are compared
+bit-for-bit, EMDs within 1e-12 — reported EMDs are exact ratios correctly
+rounded, while most stored EMDs came from float evaluations that may
+differ in the last ulp.
 
 Usage::
 
@@ -75,7 +83,8 @@ FIXTURE_PATH = FIXTURES_DIR / "engine_golden.npz"
 E2E_FIXTURE_PATH = FIXTURES_DIR / "kanon_first_golden.npz"
 
 #: Keys within one e2e case holding float EMDs (compared to 1e-12, not
-#: bitwise — the sparse evaluation regroups the dense summation).
+#: bitwise — most stored values came from float evaluations, which can
+#: differ from the correctly rounded exact ratios in the last ulp).
 _EMD_KEY_SUFFIXES = ("emds",)
 
 
@@ -166,8 +175,9 @@ def main() -> int:
             "ALSO rewrite the arrays of kanon_first_golden.npz that no "
             "longer pass --check from the CURRENT implementations.  That "
             "fixture's value is its provenance (the dense pre-refactor code "
-            "and the exact rational reference); only re-baseline after "
-            "tests/microagg/test_alg2_reference.py passes."
+            "and the exact rational references); only re-baseline after "
+            "tests/microagg/test_alg2_reference.py and "
+            "tests/microagg/test_merge_reference.py pass."
         ),
     )
     args = parser.parse_args()

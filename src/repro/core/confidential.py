@@ -9,13 +9,16 @@ for arbitrary record subsets:
   when a data set declares several confidential columns;
 * (Algorithm 2 only) "how would the EMD change if record *b* in the
   cluster were replaced by record *a*?" — evaluated for every member b at
-  once, thousands of times, so it must be incremental, and decided
-  exactly, since ties between swaps are common.
+  once, thousands of times, so it must be incremental.
 
-:class:`ConfidentialModel` wraps a dataset and answers the first in float
-arithmetic; its :meth:`~ConfidentialModel.swap_frame` builds the
-:class:`SwapFrame` that answers the second in integers, per fit, with
-:class:`ClusterTrackerSet` as the incremental scorer.
+Both are decided exactly, since ties are common.
+:class:`ConfidentialModel` answers the first as an exact ratio
+(:meth:`~ConfidentialModel.emd_ratio`, the merge phase's keys) and, for
+the verifier and the generalization baselines, as the dense Definition-2
+float (:meth:`~ConfidentialModel.cluster_emd`); its
+:meth:`~ConfidentialModel.swap_frame` builds the :class:`SwapFrame` that
+answers the second in integers, per fit, with :class:`ClusterTrackerSet`
+as the incremental scorer.
 """
 
 from __future__ import annotations
@@ -26,12 +29,7 @@ import numpy as np
 
 from ..data.attributes import AttributeKind
 from ..data.dataset import Microdata
-from ..distance.emd import (
-    NominalEMDFrame,
-    NominalEMDReference,
-    OrderedEMDFrame,
-    OrderedEMDReference,
-)
+from ..distance.emd import NominalEMDFrame, NominalEMDReference, OrderedEMDFrame
 from ..registry import EMD_MODES
 
 
@@ -43,8 +41,9 @@ class ConfidentialModel:
     data:
         Dataset with at least one attribute whose role is ``CONFIDENTIAL``.
     emd_mode:
-        ``"distinct"`` (Li et al. bins; supports incremental trackers) or
-        ``"rank"`` (the propositions' per-record bins; evaluation only).
+        ``"distinct"`` (Li et al. bins; exact integer frames) or
+        ``"rank"`` (the propositions' per-record bins; float evaluation
+        only).
     """
 
     def __init__(self, data: Microdata, *, emd_mode: str = "distinct") -> None:
@@ -76,80 +75,81 @@ class ConfidentialModel:
                     self._bins.append(None)
         self._values = [data.values(name) for name in names]
         self._specs = [data.spec(name) for name in names]
+        self._frames: list | None = None
 
     @property
     def supports_trackers(self) -> bool:
         """Whether incremental swap evaluation is available (distinct mode)."""
         return all(b is not None for b in self._bins)
 
+    def _integer_frames(self) -> list:
+        """One integer frame per attribute, None where rank mode has no
+        per-record bins; built on first use, so a model that only
+        verifies never pays for them."""
+        if self._frames is None:
+            self._frames = []
+            for ref, bins in zip(self._refs, self._bins):
+                nominal = isinstance(ref, NominalEMDReference)
+                kind = NominalEMDFrame if nominal else OrderedEMDFrame
+                self._frames.append(None if bins is None else kind(bins, ref.m))
+        return self._frames
+
     # -- one-shot evaluation -------------------------------------------------------
 
-    def cluster_emd(self, members: np.ndarray, *, sparse: bool = False) -> float:
-        """EMD of the cluster given by record indices (max over attributes).
+    def cluster_emd(self, members: np.ndarray) -> float:
+        """Dense Definition-2 float EMD of a cluster (max over attributes).
 
-        ``sparse=True`` evaluates ordered distinct-mode attributes with the
-        O(c log m) segment path
-        (:meth:`OrderedEMDReference.emd_of_bins_sparse`) instead of the
-        dense O(m) histogram; the two agree to the last float ulp (same
-        terms, different summation grouping).  The merge phase runs sparse;
-        the dense default remains the Definition-2 reference arithmetic the
-        formal verifier (:mod:`repro.privacy.tcloseness`) applies.
+        The arithmetic the formal verifier (:mod:`repro.privacy.tcloseness`)
+        and the generalization baselines apply; the algorithms decide on
+        :meth:`emd_ratio`.
         """
         members = np.asarray(members)
         if members.size == 0:
             raise ValueError("cluster must be non-empty")
         worst = 0.0
         for ref, bins, values in zip(self._refs, self._bins, self._values):
-            if sparse and bins is not None and isinstance(ref, OrderedEMDReference):
-                value = ref.emd_of_bins_sparse(bins[members])
-            elif bins is not None:
+            if bins is not None:
                 value = ref.emd_of_bins(bins[members])
             else:
                 value = ref.emd(values[members])
             worst = max(worst, value)
         return worst
 
-    def partition_emds(
-        self, clusters: list[np.ndarray], *, sparse: bool = True
-    ) -> np.ndarray:
-        """Per-cluster EMD for an explicit list of clusters.
+    def emd_ratio(self, members: np.ndarray) -> tuple[int, int]:
+        """A cluster's EMD as an exact ratio ``(num, den)``, den > 0.
 
-        With ``sparse=True`` (the bulk-reporting default), ordered
-        distinct-mode attributes are evaluated with
-        :meth:`OrderedEMDReference.emd_of_bins_sparse` (O(c log m) per
-        cluster instead of O(m)), which can differ from the dense
-        :meth:`cluster_emd` in the last float ulp.  Pass ``sparse=False``
-        wherever the value feeds a *verification verdict* against a
-        threshold — the formal t-closeness verifier does — so the verdict
-        uses exactly the dense Definition-2 evaluation.  The algorithms'
-        own decisions (swap refinement, merge selection) run on the sparse
-        evaluations, whose agreement with the dense definition is pinned by
-        the differential suite in ``tests/distance/test_emd_sparse.py`` and
-        the end-to-end golden fixtures.
+        The max over attributes of S_a / (c·n·w_a), from the integer
+        frames (:class:`~repro.distance.OrderedEMDFrame`,
+        :class:`~repro.distance.NominalEMDFrame`); a rank-mode attribute
+        contributes its float EMD's exact ``as_integer_ratio()``.  Raises
+        ``ValueError`` when c·n·m reaches 2**63 (:func:`check_exact_bound`).
         """
-        if not clusters:
-            return np.array([])
-        worst = np.zeros(len(clusters))
-        for ref, bins, values in zip(self._refs, self._bins, self._values):
-            if sparse and bins is not None and isinstance(ref, OrderedEMDReference):
-                per_cluster = [
-                    ref.emd_of_bins_sparse(bins[members]) for members in clusters
-                ]
-            elif bins is not None:
-                per_cluster = [ref.emd_of_bins(bins[members]) for members in clusters]
+        members = np.asarray(members)
+        c = members.size
+        if c == 0:
+            raise ValueError("cluster must be non-empty")
+        num, den = 0, 1
+        for frame, ref, values in zip(self._integer_frames(), self._refs, self._values):
+            if frame is None:
+                s, d = ref.emd(values[members]).as_integer_ratio()
             else:
-                per_cluster = [ref.emd(values[members]) for members in clusters]
-            np.maximum(worst, per_cluster, out=worst)
-        return worst
+                check_exact_bound(c, frame.n, frame.m)
+                s, d = frame.numerator(frame.bins[members]), c * frame.n * frame.weight
+            if s * den > num * d:
+                num, den = s, d
+        return num, den
+
+    def partition_emds(self, clusters: list[np.ndarray]) -> np.ndarray:
+        """Per-cluster EMD: :meth:`emd_ratio`, correctly rounded to float."""
+        return np.array([num / den for num, den in map(self.emd_ratio, clusters)])
 
     # -- exact swap refinement (Algorithm 2) ------------------------------------------
 
     def swap_frame(self, k: int, t: float) -> "SwapFrame":
         """Algorithm 2's exact-integer frame for one fit at (k, t).
 
-        Built once per fit from the per-record bins, so the other
-        algorithms and serving never pay for it.  Raises ``ValueError``
-        in rank mode (no per-record bins) and past the exactness bound
+        Reuses the model's integer frames.  Raises ``ValueError`` in rank
+        mode (no per-record bins) and past the exactness bound
         (:func:`check_exact_bound`).
         """
         if not self.supports_trackers:
@@ -157,15 +157,12 @@ class ConfidentialModel:
                 "exact swap refinement requires emd_mode='distinct' "
                 "(rank mode has no per-record bins)"
             )
-        frames = []
-        for ref, bins in zip(self._refs, self._bins):
-            nominal = isinstance(ref, NominalEMDReference)
-            frames.append((NominalEMDFrame if nominal else OrderedEMDFrame)(bins, ref.m))
-        return SwapFrame(frames, k, t)
+        return SwapFrame(self._integer_frames(), k, t)
 
 
-#: k·n·m must stay below this for Algorithm 2's integer arithmetic: every
-#: numerator S and every product inside its segment sums is below k·n·m.
+#: c·n·m must stay below this for the integer arithmetic on a cluster of
+#: c records: every numerator S and every product inside its segment sums
+#: is below c·n·m.
 EXACT_BOUND = 2**63
 
 #: Statuses of one refinement call (:meth:`SwapFrame.refine`).
@@ -175,12 +172,13 @@ CONVERGED, CHUNK_EXHAUSTED, BUDGET_SPENT = 0, 1, 2
 UNLIMITED = 2**62
 
 
-def check_exact_bound(k: int, n: int, m: int) -> None:
-    """Raise ``ValueError`` unless k·n·m < :data:`EXACT_BOUND` (2**63)."""
-    if k * n * m >= EXACT_BOUND:
+def check_exact_bound(c: int, n: int, m: int) -> None:
+    """Raise ``ValueError`` unless c·n·m < :data:`EXACT_BOUND` (2**63)."""
+    if c * n * m >= EXACT_BOUND:
         raise ValueError(
-            f"k*n*m = {k}*{n}*{m} reaches 2**63: Algorithm 2's exact integer "
-            "EMD numerators need k*n*m < 2**63 for every confidential attribute"
+            f"c*n*m = {c}*{n}*{m} reaches 2**63: exact integer EMD numerators "
+            "of a c-record cluster need c*n*m < 2**63 for every confidential "
+            "attribute"
         )
 
 

@@ -491,33 +491,6 @@ class Anonymizer:
         """
         return self._serving
 
-    @property
-    def _schema(self) -> tuple[AttributeSpec, ...] | None:
-        """Fitted table schema (read-only view onto the serving split)."""
-        return self._serving.schema if self._serving is not None else None
-
-    @property
-    def _qi_names(self) -> tuple[str, ...]:
-        """Fitted quasi-identifier names (read-only view)."""
-        return self._serving.qi_names if self._serving is not None else ()
-
-    @property
-    def _representatives(self) -> np.ndarray | None:
-        """Per-cluster representative rows (read-only view)."""
-        return self._serving.representatives if self._serving is not None else None
-
-    @property
-    def _encoded_representatives(self) -> np.ndarray | None:
-        """Encoded representatives (read-only view)."""
-        if self._serving is None:
-            return None
-        return self._serving.encoded_representatives
-
-    @property
-    def _encoder(self) -> QIEncoder | None:
-        """Fitted :class:`~repro.distance.records.QIEncoder` (read-only view)."""
-        return self._serving.encoder if self._serving is not None else None
-
     def _require_fitted(self) -> None:
         if not self._fitted:
             raise NotFittedError(
@@ -620,10 +593,11 @@ class Anonymizer:
         if path.suffix != ".npz":
             path = path.with_suffix(path.suffix + ".npz")
         sidecar = path.with_suffix(".json")
+        serving = self._serving
         arrays = {
             "labels": np.asarray(self.result_.partition.labels),
             "cluster_emds": np.asarray(self.result_.cluster_emds),
-            "representatives": np.asarray(self._representatives),
+            "representatives": np.asarray(serving.representatives),
         }
         payload = {
             "format_version": MODEL_FORMAT_VERSION,
@@ -633,9 +607,9 @@ class Anonymizer:
             "result_k": int(self.result_.k),
             "result_t": _json_float(self.result_.t),
             "info": _json_safe(dict(self.result_.info)),
-            "qi_names": list(self._qi_names),
-            "schema": [spec_to_dict(s) for s in self._schema],
-            "encoder": self._encoder.to_dict(),
+            "qi_names": list(serving.qi_names),
+            "schema": [spec_to_dict(s) for s in serving.schema],
+            "encoder": serving.encoder.to_dict(),
             "report": self.report_.to_dict(),
             "checksums": array_checksums(arrays),
         }

@@ -30,13 +30,13 @@ al.'s microaggregation algorithms:
     subtree boundary pays that subtree's height over the tree height.
 
 The module also provides :class:`OrderedEMDReference` — a precomputed frame
-for evaluating many clusters against one dataset, including the sparse
-segment-wise evaluation that costs O(c log m) per cluster instead of O(m) —
-and the exact-integer side Algorithm 2 decides on: :class:`OrderedEMDFrame`
+for evaluating many clusters against one dataset densely, in float — and
+the exact-integer side every algorithm decides on: :class:`OrderedEMDFrame`
 and :class:`NominalEMDFrame` write a cluster's EMD as an integer numerator S
-over the denominator c·n·w, and :class:`ClusterEMDTracker` /
-:class:`NominalClusterTracker` score the replace-one-record swaps that
-dominate Algorithm 2's running time on those numerators.
+over the denominator c·n·w (O(c log m) per ordered cluster), and
+:class:`ClusterEMDTracker` / :class:`NominalClusterTracker` score the
+replace-one-record swaps that dominate Algorithm 2's running time on those
+numerators.
 """
 
 from __future__ import annotations
@@ -64,8 +64,9 @@ class OrderedEMDReference:
 
     Builds the bin grid and the dataset's distribution once, then evaluates
     any cluster in O(c + m) where c is the cluster size and m the number of
-    bins.  All of this library's t-closeness checks and all three paper
-    algorithms funnel through this class.
+    bins.  The t-closeness verifier and the generalization baselines
+    evaluate through this class; the paper algorithms decide on the
+    integer frames built from its :meth:`bins_of`.
 
     Parameters
     ----------
@@ -84,8 +85,6 @@ class OrderedEMDReference:
         "_denom",
         "_tie_lo",
         "_tie_width",
-        "_qcum",
-        "_qcum_prefix",
     )
 
     def __init__(self, dataset_values: Sequence[float], *, mode: str = "distinct") -> None:
@@ -110,8 +109,6 @@ class OrderedEMDReference:
             self._tie_width = dict(zip(uniq.tolist(), width.tolist()))
         self.m = len(self.bin_values)
         self._denom = float(max(self.m - 1, 1))
-        self._qcum: np.ndarray | None = None
-        self._qcum_prefix: np.ndarray | None = None
 
     # -- bin mapping -------------------------------------------------------------
 
@@ -177,72 +174,6 @@ class OrderedEMDReference:
             raise ValueError("cluster_size must be positive")
         p = np.bincount(bins, minlength=self.m).astype(np.float64) / c
         return self.emd_of_histogram(p)
-
-    def _ensure_prefix(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lazily built cumulative distribution and its prefix sums.
-
-        ``qcum[i] = sum_{j<=i} q_j`` and ``qprefix[i] = sum_{j<i} qcum[j]``;
-        together they let any segment sum of ``|const - qcum|`` be evaluated
-        with two lookups (see :meth:`_segment_abs_sums`).  Built once per
-        reference and shared by every sparse evaluation against it.
-        """
-        if self._qcum is None:
-            self._qcum = np.cumsum(self.q)
-            self._qcum_prefix = np.concatenate([[0.0], np.cumsum(self._qcum)])
-        return self._qcum, self._qcum_prefix
-
-    def _segment_abs_sums(
-        self, starts: np.ndarray, stops: np.ndarray, consts: np.ndarray
-    ) -> np.ndarray:
-        """Sum of ``|consts_j - qcum_i|`` over segments ``[starts_j, stops_j)``.
-
-        ``consts`` holds the cluster's (constant) cumulative mass on each
-        segment; it may be 1-D ``(S,)`` for one cluster or 2-D ``(R, S)``
-        for R candidate clusters sharing one segment grid — the reduction
-        runs over the last axis either way.  Within a segment ``qcum`` is
-        non-decreasing, so ``|const - qcum|`` changes sign at most once; the
-        crossing is located by binary search and both halves collapse to
-        prefix-sum lookups.
-        """
-        qcum, qprefix = self._ensure_prefix()
-        # First bin index in each segment where cum_q exceeds the constant.
-        cross = np.clip(np.searchsorted(qcum, consts, side="right"), starts, stops)
-        below = consts * (cross - starts) - (qprefix[cross] - qprefix[starts])
-        above = (qprefix[stops] - qprefix[cross]) - consts * (stops - cross)
-        return (below + above).sum(axis=-1)
-
-    def emd_of_bins_sparse(
-        self, bins: np.ndarray, cluster_size: int | None = None
-    ) -> float:
-        """EMD of a cluster of bin indices, in O(c log m) instead of O(m).
-
-        Mathematically identical to :meth:`emd_of_bins` but evaluated
-        segment-wise: between two consecutive (sorted) member bins the
-        cluster's cumulative mass is constant, so the sum of
-        ``|cum_p - cum_q|`` over the segment reduces to two prefix-sum
-        lookups around the point where the dataset's cumulative distribution
-        crosses that constant.  Results can differ from the dense evaluation
-        in the last float ulp (different summation order).  This is the
-        evaluation all bulk reporting
-        (:meth:`repro.core.confidential.ConfidentialModel.partition_emds`)
-        and the merge phase are built on; the dense form remains the *definitional* reference,
-        pinned to this one by the differential tests in
-        ``tests/distance/test_emd_sparse.py``.
-        """
-        if self.mode != "distinct":
-            raise ValueError("emd_of_bins_sparse is only defined for mode='distinct'")
-        bins = np.asarray(bins)
-        c = cluster_size if cluster_size is not None else len(bins)
-        if c <= 0:
-            raise ValueError("cluster_size must be positive")
-        uniq, counts = np.unique(bins, return_counts=True)
-        # Segment j covers bin range [starts[j], stops[j]) where the
-        # cluster's cumulative mass is the constant consts[j]; the leading
-        # segment [0, first member bin) carries constant 0.
-        consts = np.concatenate([[0.0], np.cumsum(counts) / c])
-        starts = np.concatenate([[0], uniq])
-        stops = np.concatenate([uniq, [self.m]])
-        return float(self._segment_abs_sums(starts, stops, consts) / self._denom)
 
 
 class _IntegerFrame:
@@ -428,8 +359,7 @@ class EMDModeSpec:
         Registered mode name (``emd_mode=`` accepts it everywhere).
     supports_trackers:
         Whether references built by this mode expose per-record bins
-        (``bins_of``), from which Algorithm 2 builds its exact integer
-        frames and the merge phase its sparse evaluations.
+        (``bins_of``), from which the exact integer frames are built.
     factory:
         ``(dataset_values) -> reference`` builder; the reference must offer
         ``emd(cluster_values)`` and, when ``supports_trackers``, the

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Mapping
 
+from ..constants import T_TOLERANCE
 from ..data.dataset import Microdata
 from .hierarchy import AttributeHierarchy
 from .recoding import RecodedRelease, recode, recoding_loss
@@ -99,7 +100,7 @@ def incognito(
         )
         if release.k_level() < k:
             return False, release
-        if t is not None and release.t_level(emd_mode=emd_mode) > t + 1e-12:
+        if t is not None and release.t_level(emd_mode=emd_mode) > t + T_TOLERANCE:
             return False, release
         return True, release
 

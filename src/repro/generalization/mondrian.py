@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..constants import T_TOLERANCE
 from ..core.confidential import ConfidentialModel
 from ..data.dataset import Microdata
 from ..microagg.partition import Partition
@@ -71,7 +72,7 @@ def mondrian_partition(
     def admissible(members: np.ndarray) -> bool:
         if len(members) < k:
             return False
-        if model is not None and model.cluster_emd(members) > t + 1e-12:
+        if model is not None and model.cluster_emd(members) > t + T_TOLERANCE:
             return False
         return True
 

@@ -207,10 +207,6 @@ class ClusteringEngine:
         """The (original) coordinate row of one record, dead or alive."""
         return self._X[record_id]
 
-    def rows(self, record_ids: np.ndarray) -> np.ndarray:
-        """Coordinate rows of the given records (one gathered copy)."""
-        return self._X[record_ids]
-
     def alive_ids(self) -> np.ndarray:
         """Ids of all unassigned records, ascending."""
         return self._ids[: self._m][self._alive[: self._m]]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..constants import T_TOLERANCE
 from ..core.confidential import ConfidentialModel
 from ..data.dataset import Microdata
 from ..microagg.partition import Partition
@@ -84,7 +85,8 @@ def is_nt_close(
     """Whether every class has a >= n-record natural superset within EMD t."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    return nt_closeness_level(data, n, classes=classes, emd_mode=emd_mode) <= t + 1e-12
+    level = nt_closeness_level(data, n, classes=classes, emd_mode=emd_mode)
+    return level <= t + T_TOLERANCE
 
 
 def _emd_between(

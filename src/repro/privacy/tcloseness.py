@@ -27,15 +27,15 @@ def class_emds(
 ) -> np.ndarray:
     """Per-class EMD to the full table (max over confidential attributes).
 
-    Uses the dense (``sparse=False``) evaluation: this is the formal
-    verifier, and its boolean verdicts must apply exactly the Definition-2
-    arithmetic the anonymization algorithms enforced, not a
-    last-ulp-different fast path.
+    Uses the dense Definition-2 float evaluation
+    (:meth:`~repro.core.confidential.ConfidentialModel.cluster_emd`),
+    which shares no arithmetic with the exact ratios the anonymization
+    algorithms decide on.
     """
     if classes is None:
         classes = equivalence_classes(data)
     model = ConfidentialModel(data, emd_mode=emd_mode)
-    return model.partition_emds(list(classes.clusters()), sparse=False)
+    return np.array([model.cluster_emd(members) for members in classes.clusters()])
 
 
 def t_closeness_level(

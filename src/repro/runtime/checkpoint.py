@@ -64,7 +64,7 @@ from .serialize import (
 )
 
 #: Bumped whenever the on-disk checkpoint layout changes incompatibly.
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 _META_KEY = "__meta__"
 

@@ -83,6 +83,25 @@ class TestConfidentialModel:
         assert emds.shape == (2,)
         assert emds[0] == pytest.approx(model.cluster_emd(clusters[0]))
 
+    def test_emd_ratio_is_the_exact_dense_emd(self, mixed_conf_data):
+        model = ConfidentialModel(mixed_conf_data)
+        frame = model.swap_frame(2, 0.1)
+        rng = np.random.default_rng(0)
+        clusters = [rng.choice(30, size=c, replace=False) for c in (1, 2, 5, 13, 30)]
+        for members in clusters:
+            assert Fraction(*model.emd_ratio(members)) == dense_emd(frame, members)
+        # Reported EMDs are those ratios, correctly rounded.
+        assert model.partition_emds(clusters).tolist() == [
+            float(dense_emd(frame, members)) for members in clusters
+        ]
+
+    def test_rank_mode_emd_ratio_is_the_float_emd(self, numeric_data):
+        model = ConfidentialModel(numeric_data, emd_mode="rank")
+        members = np.array([3, 17, 29])
+        assert Fraction(*model.emd_ratio(members)) == Fraction(
+            model.cluster_emd(members)
+        )
+
     def test_rank_mode_evaluation(self, numeric_data):
         model = ConfidentialModel(numeric_data, emd_mode="rank")
         assert not model.supports_trackers

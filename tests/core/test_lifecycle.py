@@ -116,8 +116,9 @@ class TestTransform:
         assert served.n_records == 40
         # Every served quasi-identifier row is one of the fitted
         # representatives (categorical codes included).
-        reps = {tuple(row) for row in fitted._representatives}
-        qi = served.matrix(fitted._qi_names)
+        serving = fitted.transform_model_
+        reps = {tuple(row) for row in serving.representatives}
+        qi = served.matrix(serving.qi_names)
         for row in qi:
             assert tuple(row) in reps
         # Confidential values pass through untouched.
@@ -158,8 +159,9 @@ class TestTransform:
     def test_assign_is_nearest_in_fit_geometry(self, mcd_small, fitted):
         batch = mcd_small.subset(np.arange(25))
         assignment = fitted.assign(batch)
-        encoded = fitted._encoder.encode(batch.matrix(fitted._qi_names))
-        reps = fitted._encoded_representatives
+        serving = fitted.transform_model_
+        encoded = serving.encoder.encode(batch.matrix(serving.qi_names))
+        reps = serving.encoded_representatives
         for i, g in enumerate(assignment):
             d2 = ((reps - encoded[i]) ** 2).sum(axis=1)
             assert d2[g] == pytest.approx(d2.min())

@@ -33,11 +33,12 @@ def reference_assign(model, batch):
     """The retired per-cluster Python loop, verbatim."""
     from repro.distance.records import sq_distances_to
 
-    encoded = model._encoder.encode(batch.matrix(model._qi_names))
+    serving = model.transform_model_
+    encoded = serving.encoder.encode(batch.matrix(serving.qi_names))
     n = encoded.shape[0]
     best_d2 = np.full(n, np.inf)
     assignment = np.zeros(n, dtype=np.int64)
-    for g, rep in enumerate(model._encoded_representatives):
+    for g, rep in enumerate(serving.encoded_representatives):
         d2 = sq_distances_to(encoded, rep)
         better = d2 < best_d2
         assignment[better] = g

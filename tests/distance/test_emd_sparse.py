@@ -1,16 +1,15 @@
-"""Differential tests: sparse and incremental EMD paths vs the dense definition.
+"""Differential tests: the exact integer EMD paths vs the dense definition.
 
-``OrderedEMDReference.emd_of_bins_sparse`` is the O(c log m) float segment
-evaluation the merge phase and bulk reporting use; it must agree with the
-*dense* Definition-2 evaluation (``emd_of_bins`` — explicit histogram,
-cumulative sum, absolute sum) to float precision.  Algorithm 2's trackers
-(``ClusterEMDTracker``, ``NominalClusterTracker``) score and commit swaps
-as exact integer numerators S (EMD = S / (c*n*w)); every score must equal
-the dense definition's numerator *exactly*.  Both are exercised on any
-cluster, any swap, and adversarial shapes: clusters spanning empty bins,
-single-bin clusters, all-duplicate datasets, a one-bin reference (m=1),
-and — exhaustively — every multiset cluster and every (remove, add) pair
-over small bin grids.
+``OrderedEMDFrame.numerator`` is the O(c log m) segment evaluation of a
+cluster's EMD numerator S (EMD = S / (c*n*w)) that every algorithm decides
+on, and Algorithm 2's trackers (``ClusterEMDTracker``,
+``NominalClusterTracker``) score and commit swaps on the same numerators;
+every value must equal the *dense* Definition-2 numerator (explicit
+histogram, cumulative sum, absolute sum) exactly.  Both are exercised on
+any cluster, any swap, and adversarial shapes: clusters spanning empty
+bins, single-bin clusters, all-duplicate datasets, a one-bin reference
+(m=1), and — exhaustively — every multiset cluster and every
+(remove, add) pair over small bin grids.
 """
 
 import itertools
@@ -20,6 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import ConfidentialModel
+from repro.data import AttributeRole, Microdata, numeric
 from repro.distance.emd import (
     ClusterEMDTracker,
     NominalClusterTracker,
@@ -29,8 +30,8 @@ from repro.distance.emd import (
     OrderedEMDReference,
 )
 
-#: Sparse and dense float evaluations sum identical terms in different
-#: orders; agreement is asserted to well below any float decision margin.
+#: The dense float EMD sums the numerator's terms in float; agreement with
+#: S / (c*n*w) is asserted to well below any float decision margin.
 ATOL = 1e-12
 
 
@@ -70,28 +71,37 @@ def test_sparse_matches_dense(n, c, tied, seed):
         values = rng.integers(0, max(2, n // 3), size=n).astype(float)
     else:
         values = rng.permutation(np.arange(float(n)))
-    ref = OrderedEMDReference(values, mode="distinct")
+    ref, frame = ordered_frame(values)
     bins = ref.bins_of(rng.choice(values, size=min(c, n), replace=False))
-    assert ref.emd_of_bins_sparse(bins) == pytest.approx(
-        ref.emd_of_bins(bins), abs=1e-12
+    assert frame.numerator(bins) == dense_numerator(frame, bins)
+    assert frame.numerator(bins) / (len(bins) * n * frame.weight) == pytest.approx(
+        ref.emd_of_bins(bins), abs=ATOL
     )
 
 
 def test_sparse_requires_distinct_mode():
-    ref = OrderedEMDReference(np.arange(5.0), mode="rank")
+    """Rank mode has no per-record bins, so a rank-mode model has no
+    integer frames to refine swaps on."""
+    data = Microdata(
+        {"qi": np.arange(5.0), "secret": np.arange(5.0)},
+        [
+            numeric("qi", role=AttributeRole.QUASI_IDENTIFIER),
+            numeric("secret", role=AttributeRole.CONFIDENTIAL),
+        ],
+    )
     with pytest.raises(ValueError, match="distinct"):
-        ref.emd_of_bins_sparse(np.array([0]))
+        ConfidentialModel(data, emd_mode="rank").swap_frame(2, 0.1)
 
 
 def test_sparse_full_table_is_zero():
-    values = np.arange(9.0)
-    ref = OrderedEMDReference(values, mode="distinct")
-    assert ref.emd_of_bins_sparse(ref.bins_of(values)) == pytest.approx(0.0)
+    _, frame = ordered_frame(np.arange(9.0))
+    assert frame.numerator(frame.bins) == dense_numerator(frame, frame.bins) == 0
 
 
 def test_sparse_single_bin_dataset():
-    ref = OrderedEMDReference(np.full(4, 2.5), mode="distinct")
-    assert ref.emd_of_bins_sparse(np.array([0, 0])) == pytest.approx(0.0)
+    _, frame = ordered_frame(np.full(4, 2.5))
+    bins = np.array([0, 0])
+    assert frame.numerator(bins) == dense_numerator(frame, bins) == 0
 
 
 class TestSparseAdversarial:
@@ -102,28 +112,20 @@ class TestSparseAdversarial:
         # 0 and m-1 with a long run of interior bins it never touches —
         # one giant segment whose crossing point lies strictly inside.
         values = np.concatenate([np.zeros(5), np.arange(1.0, 9.0), np.full(5, 9.0)])
-        ref = OrderedEMDReference(values, mode="distinct")
+        ref, frame = ordered_frame(values)
         bins = np.array([0, ref.m - 1])
-        assert ref.emd_of_bins_sparse(bins) == pytest.approx(
-            ref.emd_of_bins(bins), abs=ATOL
-        )
+        assert frame.numerator(bins) == dense_numerator(frame, bins)
 
     def test_single_bin_cluster_each_position(self):
-        values = np.arange(7.0)
-        ref = OrderedEMDReference(values, mode="distinct")
+        ref, frame = ordered_frame(np.arange(7.0))
         for b in range(ref.m):
             bins = np.array([b])
-            assert ref.emd_of_bins_sparse(bins) == pytest.approx(
-                ref.emd_of_bins(bins), abs=ATOL
-            )
+            assert frame.numerator(bins) == dense_numerator(frame, bins)
 
     def test_all_duplicates_cluster(self):
-        values = np.array([1.0, 1.0, 2.0, 3.0, 3.0, 3.0, 4.0])
-        ref = OrderedEMDReference(values, mode="distinct")
+        _, frame = ordered_frame(np.array([1.0, 1.0, 2.0, 3.0, 3.0, 3.0, 4.0]))
         bins = np.zeros(6, dtype=int)  # six copies of the first bin
-        assert ref.emd_of_bins_sparse(bins) == pytest.approx(
-            ref.emd_of_bins(bins), abs=ATOL
-        )
+        assert frame.numerator(bins) == dense_numerator(frame, bins)
 
     def test_m_equals_one(self):
         # Degenerate reference: every dataset value identical, one bin,
@@ -133,18 +135,15 @@ class TestSparseAdversarial:
         for c in (1, 2, 5):
             bins = np.zeros(c, dtype=int)
             assert ref.emd_of_bins(bins) == 0.0
-            assert ref.emd_of_bins_sparse(bins) == 0.0
+            assert frame.numerator(bins) == 0
             tracker = ClusterEMDTracker(frame, bins)
             assert tracker.numerator == 0
             assert (tracker.swap_numerators(bins, 0) == 0).all()
 
     def test_cluster_size_larger_than_bins(self):
-        values = np.array([0.0, 0.0, 1.0, 1.0, 2.0])
-        ref = OrderedEMDReference(values, mode="distinct")
+        _, frame = ordered_frame(np.array([0.0, 0.0, 1.0, 1.0, 2.0]))
         bins = np.array([0, 0, 1, 1, 2, 2, 2])
-        assert ref.emd_of_bins_sparse(bins) == pytest.approx(
-            ref.emd_of_bins(bins), abs=ATOL
-        )
+        assert frame.numerator(bins) == dense_numerator(frame, bins)
 
 
 class TestTrackerDifferential:

@@ -3,8 +3,8 @@
 The engine refactor (``repro.microagg.engine``) must produce partitions that
 are identical — same labels, same tie-breaking — to the pre-refactor
 reference implementations.  The reference labels were captured from the
-seed implementations (one kanon-first entry later re-blessed from an exact
-rational reference) by ``scripts/generate_engine_golden.py`` and live
+seed implementations (one kanon-first entry later re-blessed from the
+exact rational references) by ``scripts/generate_engine_golden.py`` and live
 in ``tests/microagg/fixtures/engine_golden.npz``; the datasets here
 reconstruct the exact inputs those labels were computed from.
 
@@ -50,10 +50,10 @@ MICRODATA_CASES = (
 #: Algorithm-1 golden runs (``fixtures/kanon_first_golden.npz``).  The t
 #: levels are deliberately tighter than :data:`MICRODATA_CASES` so the swap
 #: phase accepts many swaps and the merge fallback actually merges — the two
-#: phases the sparse EMD engine rewrote, pinned here bit-for-bit (labels,
+#: phases the incremental EMD engine rewrote, pinned here bit-for-bit (labels,
 #: swap/merge counters) against the pre-refactor dense implementation and,
-#: where Algorithm 2's exact decisions break ties differently, against the
-#: exact rational reference of ``test_alg2_reference.py``.
+#: where exact decisions break ties differently, against the exact rational
+#: references of ``test_alg2_reference.py`` and ``test_merge_reference.py``.
 E2E_CASES = (
     ("md_numeric_tight", "md_numeric", 3, 0.125),  # swaps + 1 merge
     ("md_numeric_strict", "md_numeric", 3, 0.08),  # merge cascade (~21 merges)

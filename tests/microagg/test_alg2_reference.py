@@ -39,6 +39,15 @@ CASES = {case: (e2e_case(name), k, t) for case, name, k, t in E2E_CASES}
 CASES.update({case: (microdata_case(case), k, t) for case, _, k, t in MICRODATA_CASES})
 
 
+def _columns(data) -> list:
+    """(nominal, record bins, dataset counts) of every confidential column."""
+    model = ConfidentialModel(data)
+    return [
+        (isinstance(ref, NominalEMDReference), bins, np.bincount(bins, minlength=ref.m))
+        for ref, bins in zip(model._refs, model._bins)
+    ]
+
+
 def _dense_emd(columns, members) -> Fraction:
     worst = Fraction(0)
     c = len(members)
@@ -56,11 +65,7 @@ def _dense_emd(columns, members) -> Fraction:
 
 def reference_kanon_first(data, k: int, t: float) -> tuple[np.ndarray, int]:
     """Partition labels and swap count of Algorithm 2, brute force."""
-    model = ConfidentialModel(data)
-    columns = [
-        (isinstance(ref, NominalEMDReference), bins, np.bincount(bins, minlength=ref.m))
-        for ref, bins in zip(model._refs, model._bins)
-    ]
+    columns = _columns(data)
     limit = Fraction(t)
     engine = ClusteringEngine(encode_mixed(data, data.quasi_identifiers))
     clusters, n_swaps, parity = [], 0, 0

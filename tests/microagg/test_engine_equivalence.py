@@ -5,7 +5,8 @@ The fixtures in ``fixtures/engine_golden.npz`` hold the partition labels the
 datasets of ``golden_datasets.py`` (captured by
 ``scripts/generate_engine_golden.py``; see that script's docstring, also
 for the one kanon-first entry re-blessed from the exact rational
-reference of ``test_alg2_reference.py``).  These
+references of ``test_alg2_reference.py`` and ``test_merge_reference.py``).
+These
 tests assert that the engine-backed rewrites reproduce every one of them
 bit-for-bit — same clusters, same labels, same tie-breaking — across
 numeric and mixed quasi-identifier schemas, duplicate records (exact

@@ -8,20 +8,23 @@ refinement and the merge phase make hundreds of EMD-driven decisions.
 Provenance: the fixture was captured from the dense pre-refactor
 implementations (commit 2a51dac tree; see
 ``scripts/generate_engine_golden.py``), except the kanon-first entries of
-``md_numeric_strict`` and ``md_single_qi_tight``.  Algorithm 2 decides
-its swaps in exact integers; on those two datasets the float code had
-broken exact ties between candidate swaps toward a later member, so their
-raw partitions are now the brute-force exact rational reference's
-(``test_alg2_reference.py``, which the code reproduces on every golden
-dataset), and the entries were re-blessed from it.  The fixture pins:
+``md_numeric_strict``, ``md_single_qi_tight`` and ``md_nominal_secret``.
+Algorithm 2 decides its swaps, and the merge phase its worst cluster, its
+stop at t and its lowest-emd partners, in exact integers.  On the first
+two datasets the float code had broken exact ties between candidate swaps
+toward a later member; on ``md_nominal_secret`` it stopped merging with a
+class at EMD exactly 3/20 > float(0.15), so the exact run merges 14 times
+instead of 13.  Those entries were re-blessed from the code once it was
+proven equal to the brute-force exact rational references
+(``test_alg2_reference.py``, ``test_merge_reference.py``, which it
+reproduces on every golden dataset).  The fixture pins:
 
 * partition labels and swap/merge counters bit-for-bit — any flipped
   argmin, any accept/reject threshold crossing, any different merge
   partner changes these;
-* per-cluster EMDs to 1e-12 — the *reported* values are evaluated through
-  the sparse segment path, which sums the same terms in a different order
-  than the dense cumulative evaluation and may therefore differ in the
-  last ulp.
+* per-cluster EMDs to 1e-12 — the *reported* values are exact ratios
+  correctly rounded, while most stored values came from float
+  evaluations that may differ in the last ulp.
 
 Every case runs in each execution context of ``tests.contexts.CONTEXTS``
 (calling thread, two threads at once, two forked processes), and every

@@ -10,11 +10,11 @@ path must satisfy both formal guarantees:
   cover the table exactly;
 * **t-closeness**: the *dense* Definition-2 verifier of
   ``repro.privacy.tcloseness`` accepts the partition.  The verifier
-  evaluates EMDs with the dense histogram arithmetic (``sparse=False``),
-  deliberately independent of the sparse segment evaluations and
-  incremental trackers the algorithms themselves now run on — if a sparse
-  fast path ever under-estimated an EMD, the algorithms would stop
-  refining too early and this suite would catch the violation.
+  evaluates EMDs with the dense float histogram arithmetic, deliberately
+  independent of the exact integer numerators and incremental trackers
+  the algorithms themselves decide on — if the exact path ever
+  under-estimated an EMD, the algorithms would stop refining too early
+  and this suite would catch the violation.
 
 The four paths: Algorithm 1 over MDAV, Algorithm 1 over V-MDAV,
 Algorithm 2 (kanon-first, swap refinement + merge fallback) and
@@ -60,13 +60,13 @@ def assert_privacy_invariants(data, result, k, t):
     # one QI representative, so classes coincide with clusters).
     result.partition.validate_min_size(k)
     assert result.partition.sizes().sum() == data.n_records
-    # Formal dense t-closeness verifier, independent of the sparse paths.
+    # Formal dense t-closeness verifier, independent of the exact paths.
     assert is_t_close(data, t, classes=result.partition), (
         f"dense verifier rejects: achieved "
         f"{t_closeness_level(data, classes=result.partition)} > t={t}"
     )
-    # The reported per-cluster EMDs must agree with the dense verdict to
-    # float precision (they may be evaluated sparsely).
+    # The reported per-cluster EMDs (exact ratios, correctly rounded) must
+    # agree with the dense verdict to float precision.
     assert result.max_emd <= t + 1e-9
 
 
@@ -158,7 +158,7 @@ def test_kanon_first_swap_phase_never_weakens_privacy(data, k, t):
     result.partition.validate_min_size(k)
     assert result.partition.sizes().sum() == data.n_records
     achieved = t_closeness_level(data, classes=result.partition)
-    # Reported (sparse) worst EMD agrees with the dense measurement.
+    # Reported (exact) worst EMD agrees with the dense measurement.
     assert result.max_emd == pytest.approx(achieved, abs=1e-9)
     # satisfies_t must never claim more privacy than the dense verifier.
     if result.satisfies_t:

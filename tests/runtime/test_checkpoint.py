@@ -184,7 +184,7 @@ class TestCheckpointStore:
         from repro.runtime import faults
         from repro.runtime.faults import InjectedFault
 
-        assert checkpoint_mod.CHECKPOINT_FORMAT_VERSION == 2
+        assert checkpoint_mod.CHECKPOINT_FORMAT_VERSION == 3
         monkeypatch.setattr(checkpoint_mod, "CHECKPOINT_FORMAT_VERSION", 1)
         directory = tmp_path / "ck"
         faults.arm_from_spec("alg2.swap@30")
@@ -194,6 +194,25 @@ class TestCheckpointStore:
             )
         monkeypatch.undo()
         with pytest.raises(ArtifactVersionError, match="format version 1"):
+            Anonymizer.resume(directory)
+
+    def test_format_2_merge_checkpoint_refused(self, tmp_path, mcd_small, monkeypatch):
+        """A mid-merge checkpoint written by a format-2 build (float EMDs,
+        heap and version counters beside the members) cannot be resumed."""
+        from repro import Anonymizer
+        from repro.runtime import faults
+        from repro.runtime.faults import InjectedFault
+
+        assert checkpoint_mod.CHECKPOINT_FORMAT_VERSION == 3
+        monkeypatch.setattr(checkpoint_mod, "CHECKPOINT_FORMAT_VERSION", 2)
+        directory = tmp_path / "ck"
+        faults.arm_from_spec("merge.step@5")
+        with pytest.raises(InjectedFault):
+            Anonymizer(KAnonymity(4) & TCloseness(0.1), method="merge").fit(
+                mcd_small, checkpoint=directory, checkpoint_every_merges=2
+            )
+        monkeypatch.undo()
+        with pytest.raises(ArtifactVersionError, match="format version 2"):
             Anonymizer.resume(directory)
 
     def test_verify_against_other_data(self, tmp_path, mcd_small):

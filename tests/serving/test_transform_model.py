@@ -35,9 +35,10 @@ class TestSplitEquivalence:
     def test_anonymizer_exposes_its_split(self, fitted):
         split = TransformModel.from_anonymizer(fitted)
         assert split is fitted.transform_model_
-        assert split.representatives is fitted._representatives
-        assert split.encoder is fitted._encoder
-        assert split.encoded_representatives is fitted._encoded_representatives
+        assert len(split.representatives) == fitted.result_.partition.n_clusters
+        np.testing.assert_array_equal(
+            split.encoded_representatives, split.encoder.encode(split.representatives)
+        )
 
     def test_transform_bitwise_equal(self, fitted, batch):
         assert_same_release(
@@ -68,7 +69,7 @@ class TestSplitEquivalence:
         described = fitted.transform_model_.describe()
         json.dumps(described)
         assert described["n_clusters"] == fitted.result_.partition.n_clusters
-        assert described["quasi_identifiers"] == list(fitted._qi_names)
+        assert described["quasi_identifiers"] == list(fitted.transform_model_.qi_names)
 
 
 class TestNearestIndex:
