@@ -48,7 +48,6 @@ from .core import (
     Requirement,
     RunReport,
     TCloseness,
-    TClosenessAnonymizer,
     TClosenessResult,
     anonymize,
     emd_lower_bound,
@@ -84,7 +83,6 @@ __version__ = "1.1.0"
 __all__ = [
     "anonymize",
     "Anonymizer",
-    "TClosenessAnonymizer",
     "TClosenessResult",
     "RunReport",
     "PrivacyPolicy",

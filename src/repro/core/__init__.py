@@ -1,6 +1,6 @@
 """The paper's contribution: three microaggregation algorithms for t-closeness."""
 
-from .anonymizer import METHODS, TClosenessAnonymizer, anonymize, resolve_method
+from .anonymizer import METHODS, anonymize, resolve_method
 from .base import TClosenessResult
 from .bounds import (
     adjust_cluster_size,
@@ -32,7 +32,6 @@ __all__ = [
     "Anonymizer",
     "NotFittedError",
     "RunReport",
-    "TClosenessAnonymizer",
     "TClosenessResult",
     "METHODS",
     "PrivacyPolicy",

@@ -31,9 +31,9 @@ from .policy import KAnonymity, TCloseness
 def resolve_method(method: str) -> Callable[..., TClosenessResult]:
     """Look up a registered algorithm by name.
 
-    The single validation path behind :func:`anonymize`,
-    :class:`TClosenessAnonymizer`, the CLI and the sweep runner; unknown
-    names raise a ``ValueError`` listing the registered alternatives.
+    The single validation path behind :func:`anonymize`, the CLI and the
+    sweep runner; unknown names raise a ``ValueError`` listing the
+    registered alternatives.
     """
     return METHODS.resolve(method)
 
@@ -98,44 +98,3 @@ def anonymize(
     ).fit(data)
     return model.release_, model.result_
 
-
-class TClosenessAnonymizer(Anonymizer):
-    """Backwards-compatible estimator: ``(k, t)`` instead of a policy.
-
-    Example
-    -------
-    >>> from repro import TClosenessAnonymizer
-    >>> from repro.data import load_mcd
-    >>> anonymizer = TClosenessAnonymizer(k=5, t=0.15)
-    >>> release = anonymizer.anonymize(load_mcd())
-    >>> anonymizer.result_.satisfies_t
-    True
-    """
-
-    def __init__(
-        self,
-        k: int,
-        t: float,
-        *,
-        method: str = "tclose-first",
-        **method_kwargs: object,
-    ) -> None:
-        repair = method_kwargs.get("merge_fallback", True) is not False
-        super().__init__(
-            KAnonymity(int(k)) & TCloseness(float(t)),
-            method=method,
-            repair=repair,
-            **method_kwargs,
-        )
-        self.k = k
-        self.t = t
-
-    def anonymize(self, data: Microdata) -> Microdata:
-        """Run the configured algorithm; diagnostics land in ``result_``."""
-        return self.fit_transform(data)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"TClosenessAnonymizer(k={self.k}, t={self.t}, "
-            f"method={self.method!r})"
-        )

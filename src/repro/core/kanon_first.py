@@ -23,6 +23,13 @@ prescribes, the full algorithm runs Algorithm 1's merging phase on the
 result; with ``merge_fallback=False`` the raw Section-6 behaviour is
 exposed for study.
 
+Checkpoints record decisions, not engine state.  After any prefix of the
+loop, the clustering engine is a function of the clusters carved so far,
+in order: a resumed fit kills them in order on a fresh engine, which
+replays its running sum, compactions and dead list bitwise, and when the
+next cluster seeds from the distance buffer (odd parity) it refills the
+buffer from the last cluster's seed.
+
 Cost: O(n^2/k) when no swaps are needed, O(n^3/k) worst case — the paper's
 Figure 5 shows exactly this gap, and the benchmark harness reproduces it.
 """
@@ -89,15 +96,16 @@ def _generate_cluster(
         Checkpoint wiring for crash-safe fits: ``progress`` is a
         :class:`~repro.runtime.FitProgress` (or None) ticked whenever the
         refinement stops with the cluster still above t, and
-        ``outer_state`` is a callable merging the caller's between-cluster
-        state (engine, finished clusters) into the snapshot.  The engine
-        is not mutated during refinement (only seeding evaluates
-        distances), so a mid-cluster snapshot restores it to the exact
-        post-seeding buffers and the regenerated pool yields the same
-        records in the same order.
+        ``outer_state`` is a callable returning the caller's decisions so
+        far (finished clusters, swap count, parity, this cluster's seed),
+        into which the snapshot adds the cluster's own state.  The engine
+        is not mutated during refinement, so its live set on resume is
+        the one the finished clusters leave behind.
     resume:
-        A mid-cluster snapshot to continue from (skips seeding; restores
-        the members and the candidate position), or None.
+        A mid-cluster snapshot to continue from, or None: seeding is
+        skipped, the pool is regenerated from the seed's distances (the
+        same records in the same order) and the members and the pool
+        position are restored.
 
     Returns
     -------
@@ -138,18 +146,14 @@ def _generate_cluster(
         pool_consumed = int(resume["meta"]["pool_consumed"])
         while end - k < pool_consumed and end < total:
             end = _pool_end(end, total)
-        prefix = engine.k_nearest_sorted(end)
+        prefix = engine.k_nearest_sorted(end, point=engine.row(seed_record))
     pool = prefix[k:]
 
     def cluster_state() -> dict:
         state = outer_state()
         state["cluster"] = {
             "members": members.copy(),
-            "meta": {
-                "n_swaps": n_swaps,
-                "pool_consumed": pool_consumed,
-                "seed_record": int(seed_record),
-            },
+            "meta": {"n_swaps": n_swaps, "pool_consumed": pool_consumed},
         }
         return state
 
@@ -219,8 +223,11 @@ def kanonymity_first(
         fits.  The clustering loop snapshots under the ``"alg2"`` stage
         — between clusters and inside each cluster's swap refinement,
         every ``every_swaps`` accepted swaps — and the closing merge
-        phase under ``"alg2:merge"``; a later call resuming from the
-        same store continues **bit-for-bit** (pinned by the crash/resume
+        phase under ``"alg2:merge"``.  An ``"alg2"`` snapshot holds the
+        finished clusters in order, the swap count, the seed parity and
+        one seed, plus the refining cluster's members, swap count and
+        pool position; a later call resuming from the same store replays
+        them and continues **bit-for-bit** (pinned by the crash/resume
         matrix in ``tests/runtime/``).
 
     Returns
@@ -251,47 +258,53 @@ def kanonymity_first(
     # alternation as the paper's loop, restructured one-cluster-per-
     # iteration so a checkpoint can land between any two clusters.
     parity = 0
+    # The current cluster's seed; between clusters, the last cluster's,
+    # whose distances the distance buffer still holds.
+    seed = -1
     resume_cluster: dict | None = None
 
     def outer_state() -> dict:
         return {
-            "engine": engine.snapshot(),
             "flat": (
                 np.concatenate(clusters)
                 if clusters
                 else np.empty(0, dtype=np.int64)
             ),
             "lengths": np.array([len(c) for c in clusters], dtype=np.int64),
-            "meta": {"total_swaps": total_swaps, "parity": parity},
+            "meta": {"total_swaps": total_swaps, "parity": parity, "seed": seed},
         }
 
     saved = progress.load("alg2") if progress is not None else None
     if saved is not None:
-        engine.restore(saved["engine"])
+        # The engine is a function of the clusters carved so far: killing
+        # them in order replays its running sum, compactions and dead list
+        # bitwise.
         flat = np.asarray(saved["flat"], dtype=np.int64)
-        clusters = []
         offset = 0
         for length in np.asarray(saved["lengths"], dtype=np.int64):
             clusters.append(flat[offset : offset + int(length)].copy())
+            engine.kill(clusters[-1])
             offset += int(length)
         total_swaps = int(saved["meta"]["total_swaps"])
         parity = int(saved["meta"]["parity"])
+        seed = int(saved["meta"]["seed"])
         resume_cluster = saved.get("cluster")
+        if resume_cluster is None and parity == 1 and engine.n_alive:
+            # An odd cluster seeds from the buffer the last seeding filled.
+            engine.eval_distances(engine.row(seed))
 
     while engine.n_alive:
-        if progress is not None and resume_cluster is None:
-            progress.tick("alg2", total_swaps, outer_state)
-        if resume_cluster is not None:
-            # Mid-refinement snapshot: the seed's distances are already in
-            # the restored engine buffers; re-enter the refinement loop
-            # directly instead of re-seeding.
-            seed = int(resume_cluster["meta"]["seed_record"])
-        elif parity == 0:
-            seed = engine.farthest_from_centroid()
-        else:
-            # The buffer still holds the distances evaluated while seeding
-            # the previous cluster; reuse them for the next seed.
-            seed = engine.farthest()
+        # A mid-refinement snapshot re-enters the refinement around its
+        # recorded seed instead of choosing a new one.
+        if resume_cluster is None:
+            if progress is not None:
+                progress.tick("alg2", total_swaps, outer_state)
+            if parity == 0:
+                seed = engine.farthest_from_centroid()
+            else:
+                # The buffer still holds the distances evaluated while
+                # seeding the previous cluster; reuse them for the next seed.
+                seed = engine.farthest()
         members, swaps = _generate_cluster(
             engine,
             seed,
@@ -310,11 +323,10 @@ def kanonymity_first(
         fault_point("alg2.cluster")
 
     if progress is not None:
-        # Forced completion snapshot: with the clustering loop finished
-        # (n_alive == 0 round-trips through the engine snapshot), a kill
-        # during the merge phase below resumes straight into it — this
-        # file coexists with the ``alg2:merge`` progress entries until
-        # the whole phase commits.
+        # Forced completion snapshot: with every cluster recorded, a kill
+        # during the merge phase below replays them and resumes straight
+        # into it — this file coexists with the ``alg2:merge`` progress
+        # entries until the whole phase commits.
         progress.tick("alg2", total_swaps, outer_state, force=True)
 
     partition = Partition.from_clusters(clusters, n)

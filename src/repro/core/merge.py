@@ -32,10 +32,12 @@ Implementation notes — the phase runs on incremental state end to end:
   centroids, reusing its preallocated distance buffer, masked selections
   and O(d) in-place centroid updates (:meth:`~ClusteringEngine.replace_row`)
   instead of recomputing a Python-loop distance scan from scratch per
-  merge.  Near-tie candidates are re-judged with the pre-engine
-  ``diff @ diff`` arithmetic so partner choices — and therefore partitions
-  — stay bit-for-bit identical to the reference implementation (pinned by
-  ``tests/microagg/test_kanon_first_golden.py``).
+  merge.  The partner is the argmin of the engine's canonical distances,
+  lowest cluster id on exact ties (pinned by
+  ``tests/microagg/test_kanon_first_golden.py``);
+* a checkpoint records decisions, not state: the (worst, partner) pairs
+  merged so far and the RNG state.  A resume replays those merges
+  through the loop's own commit step.
 """
 
 from __future__ import annotations
@@ -58,13 +60,6 @@ from .confidential import ConfidentialModel
 
 #: Signature every base partitioner must satisfy: (QI matrix, k) -> Partition.
 Partitioner = Callable[[np.ndarray, int], Partition]
-
-#: Relative margin within which centroid-distance near-ties are re-judged
-#: with the reference ``diff @ diff`` arithmetic (the engine's canonical
-#: column-sequential kernel can differ from it in the last ulp, which is
-#: enough to pick a different — equally near — merge partner).
-_PARTNER_MARGIN = 1e-6
-
 
 class _Exact:
     """An EMD ratio ``num/den`` (den > 0) ordered by its exact value.
@@ -89,33 +84,17 @@ class _Exact:
 
 
 def _nearest_partner(cengine: ClusteringEngine, worst: int) -> int:
-    """Live cluster nearest to ``worst``'s centroid (reference tie-breaking).
+    """Live cluster nearest to ``worst``'s centroid, lowest id on exact ties.
 
-    Evaluates squared centroid distances through the engine's shared buffer,
-    masks dead clusters and ``worst`` itself, and takes the argmin (lowest
-    cluster id on exact ties).  Whenever more than one cluster lands within
-    a conservative margin of the minimum, exactly those candidates are
-    re-judged with the pre-engine arithmetic (``diff @ diff``, first index
-    wins), mirroring :meth:`ClusteringEngine.farthest_from_centroid`'s
-    near-tie adjudication.
+    Evaluates squared centroid distances through the engine's shared
+    buffer (the canonical kernel), masks dead clusters and ``worst``
+    itself, and takes the argmin; window positions ascend with cluster
+    id, so the first minimum is the lowest id.
     """
     cengine.eval_distances(cengine.row(worst))
     buf = cengine.masked_distances(np.inf)
-    buf[int(cengine.positions_of(np.array([worst]))[0])] = np.inf
-    pos = int(np.argmin(buf))
-    d2_min = float(buf[pos])
-    band = _PARTNER_MARGIN * (1.0 + d2_min)
-    cand_pos = np.flatnonzero(buf <= d2_min + band)
-    if cand_pos.size == 1:
-        return int(cengine.ids_at(cand_pos)[0])
-    worst_centroid = cengine.row(worst)
-    best_g, best_d2 = -1, np.inf
-    for g in cengine.ids_at(cand_pos):  # ascending position == ascending id
-        diff = cengine.row(int(g)) - worst_centroid
-        d2 = float(diff @ diff)
-        if d2 < best_d2:
-            best_g, best_d2 = int(g), d2
-    return best_g
+    buf[cengine.positions_of(worst)] = np.inf
+    return int(cengine.ids_at(np.argmin(buf)))
 
 
 def merge_to_t_closeness(
@@ -174,14 +153,16 @@ def merge_to_t_closeness(
         (``"serial"``, an instance, or ``None`` for the shared one).
     progress:
         Optional :class:`~repro.runtime.FitProgress`.  The loop then
-        snapshots what its decisions cannot recompute (member lists,
-        centroid engine, RNG state, merge count) every ``every_merges``
-        merges under ``stage``, and a later call with the same progress
-        store resumes from the last snapshot.  The EMD keys are recomputed
-        from the members and the heap rebuilt from the live clusters; its
-        pop order depends only on the live (key, id) set, so the remaining
-        merges replay **bit-for-bit**.  The ``merge.step`` fault point
-        fires after each committed merge.
+        snapshots its decisions — the (worst, partner) pairs merged so
+        far, in order, and the RNG state — every ``every_merges`` merges
+        under ``stage``, and a later call with the same progress store
+        resumes from the last snapshot.  It replays those merges through
+        the live loop's own commit step, which rebuilds the member lists
+        and the path-dependent centroid rows bitwise; the EMD keys are
+        recomputed from the members and the heap rebuilt from the live
+        clusters, whose pop order depends only on the live (key, id) set,
+        so the remaining merges run **bit-for-bit** as uninterrupted.
+        The ``merge.step`` fault point fires after each committed merge.
     stage:
         Progress namespace; callers use ``"alg1:merge"``,
         ``"alg2:merge"`` or ``"repair:merge"`` so each pipeline position
@@ -209,37 +190,55 @@ def merge_to_t_closeness(
     # EMD <= 1 always, so t clamps at 1 and every cluster passes t = inf.
     t_num, t_den = min(t, 1.0).as_integer_ratio()  # exact, like Fraction(t)
 
+    members: list[np.ndarray | None] = list(partition.clusters())
     # Partner search: a ClusteringEngine over the cluster-centroid matrix,
     # built lazily on the first merge (the loose-t common case never pays
     # for it).  Merges update it in place: the survivor's centroid row is
     # replaced (O(d)), the absorbed cluster is killed and masked out.
     cengine: ClusteringEngine | None = None
+    # The (worst, partner) decisions in order.  With the RNG state they are
+    # all a checkpoint holds: everything else is a function of them.
+    log: list[tuple[int, int]] = []
+
+    def partner_engine() -> ClusteringEngine:
+        nonlocal cengine
+        if cengine is None:
+            # No merge has happened yet, so every initial cluster is
+            # intact; the reference gather-and-mean keeps centroid floats
+            # identical to the pre-engine implementation's.
+            cengine = ClusteringEngine(
+                np.stack([qi_matrix[m].mean(axis=0) for m in members]),
+                backend=backend,
+            )
+        return cengine
+
+    def commit(worst: int, partner: int) -> None:
+        """Merge ``partner`` into ``worst``, in the live loop and on replay.
+
+        The survivor's centroid row is the size-weighted mean of the two
+        rows, so it depends on the merge path; replaying the same commits
+        rebuilds it bitwise.
+        """
+        if partner_policy == "nearest-qi":
+            engine = partner_engine()
+            size_w, size_b = len(members[worst]), len(members[partner])
+            engine.replace_row(
+                worst,
+                (size_w * engine.row(worst) + size_b * engine.row(partner))
+                / (size_w + size_b),
+            )
+            engine.kill_one(partner)
+        members[worst] = np.concatenate([members[worst], members[partner]])
+        members[partner] = None
+        log.append((worst, partner))
 
     saved = progress.load(stage) if progress is not None else None
     if saved is not None:
-        # Resume mid-loop from the member lists; the RNG continues from
-        # its serialized bit-generator state.
-        flat = np.asarray(saved["flat"], dtype=np.int64)
-        members: list[np.ndarray | None] = []
-        offset = 0
-        for length in saved["lengths"]:
-            if length < 0:
-                members.append(None)
-            else:
-                members.append(flat[offset : offset + int(length)].copy())
-                offset += int(length)
-        n_merges = int(saved["meta"]["n_merges"])
+        # Resume mid-loop by replaying the recorded merges; the RNG
+        # continues from its serialized bit-generator state.
+        for worst, partner in saved["log"].tolist():
+            commit(worst, partner)
         rng.bit_generator.state = saved["meta"]["rng"]
-        if "cengine" in saved:
-            snap = saved["cengine"]
-            cengine = ClusteringEngine(
-                np.ascontiguousarray(np.asarray(snap["X"], dtype=np.float64)),
-                backend=backend,
-            )
-            cengine.restore(snap)
-    else:
-        members = list(partition.clusters())
-        n_merges = 0
     n_groups = len(members)
     n_alive = sum(m is not None for m in members)
     ratios = [None if m is None else model.emd_ratio(m) for m in members]
@@ -261,19 +260,14 @@ def merge_to_t_closeness(
         return (num / den, _Exact(num, den), g)
 
     def snapshot_state() -> dict:
-        kept = [m for m in members if m is not None]
         return {
-            "flat": np.concatenate(kept) if kept else np.empty(0, dtype=np.int64),
-            "lengths": np.array(
-                [-1 if m is None else len(m) for m in members], dtype=np.int64
-            ),
-            "meta": {"n_merges": n_merges, "rng": rng.bit_generator.state},
-            **({"cengine": cengine.snapshot()} if cengine is not None else {}),
+            "log": np.array(log, dtype=np.int64).reshape(-1, 2),
+            "meta": {"rng": rng.bit_generator.state},
         }
 
     while n_alive > 1:
         if progress is not None:
-            progress.tick(stage, n_merges, snapshot_state)
+            progress.tick(stage, len(log), snapshot_state)
         while heap[0] is not live[heap[0][2]]:
             heapq.heappop(heap)
         worst = heap[0][2]
@@ -281,15 +275,7 @@ def merge_to_t_closeness(
         if num * t_den <= t_num * den:
             break
         if partner_policy == "nearest-qi":
-            if cengine is None:
-                # No merge has happened yet, so every initial cluster is
-                # intact; the reference gather-and-mean keeps centroid
-                # floats identical to the pre-engine implementation's.
-                cengine = ClusteringEngine(
-                    np.stack([qi_matrix[m].mean(axis=0) for m in members]),
-                    backend=backend,
-                )
-            best_g = _nearest_partner(cengine, worst)
+            best_g = _nearest_partner(partner_engine(), worst)
         else:
             candidates = [
                 g for g in range(n_groups) if members[g] is not None and g != worst
@@ -298,22 +284,12 @@ def merge_to_t_closeness(
                 best_g = min(candidates, key=lambda g: merged_key(worst, g))
             else:  # random
                 best_g = int(rng.choice(candidates))
-        merged = np.concatenate([members[worst], members[best_g]])
-        if cengine is not None:
-            size_w, size_b = len(members[worst]), len(members[best_g])
-            cengine.replace_row(
-                worst,
-                (size_w * cengine.row(worst) + size_b * cengine.row(best_g))
-                / (size_w + size_b),
-            )
-            cengine.kill_one(best_g)
-        members[worst] = merged
-        ratios[worst] = model.emd_ratio(merged)
+        commit(worst, best_g)
+        ratios[worst] = model.emd_ratio(members[worst])
         live[worst] = entry(worst)
         heapq.heapreplace(heap, live[worst])  # the top is worst's old entry
-        members[best_g] = ratios[best_g] = live[best_g] = None
+        ratios[best_g] = live[best_g] = None
         n_alive -= 1
-        n_merges += 1
         fault_point("merge.step")
 
     survivors = [(m, r) for m, r in zip(members, ratios) if m is not None]
@@ -323,7 +299,7 @@ def merge_to_t_closeness(
     survivors.sort(key=lambda pair: int(pair[0].min()))
     final = Partition.from_clusters([m for m, _ in survivors], data.n_records)
     final_emds = np.array([num / den for _, (num, den) in survivors])
-    return final, final_emds, n_merges
+    return final, final_emds, len(log)
 
 
 @register_method("merge")

@@ -41,18 +41,13 @@ from ..backend import SerialBackend, accepts_backend, resolve_backend
 from ..data.attributes import AttributeSpec
 from ..data.dataset import Microdata
 from ..distance.records import QIEncoder
-from ..microagg.aggregate import aggregate_partition, cluster_centroids
+from ..microagg.aggregate import cluster_centroids
 from ..microagg.partition import Partition
 from ..registry import METHODS
 from ..runtime.atomic import array_checksums, atomic_write_json, atomic_write_npz
 from ..runtime.checkpoint import CheckpointStore, FitProgress, accepts_progress
 from ..runtime.faults import fault_point
-from ..runtime.serialize import (
-    microdata_from_state,
-    microdata_to_state,
-    spec_from_dict,
-    spec_to_dict,
-)
+from ..runtime.serialize import spec_from_dict, spec_to_dict
 from .base import TClosenessResult
 from .policy import PrivacyPolicy, as_policy
 from .repair import enforce_policy
@@ -217,7 +212,6 @@ class Anonymizer:
         checkpoint: str | Path | None = None,
         checkpoint_every_swaps: int = 2048,
         checkpoint_every_merges: int = 64,
-        checkpoint_min_interval_s: float = 0.0,
     ) -> "Anonymizer":
         """Cluster ``data`` under the policy and keep the fitted state.
 
@@ -230,8 +224,7 @@ class Anonymizer:
 
         With ``checkpoint=dir``, every phase boundary — and progress
         inside the long swap/merge loops, every ``checkpoint_every_swaps``
-        accepted swaps / ``checkpoint_every_merges`` merges, at most one
-        snapshot per ``checkpoint_min_interval_s`` seconds — is durably
+        accepted swaps / ``checkpoint_every_merges`` merges — is durably
         snapshotted to ``dir``, and :meth:`resume` continues a killed run
         bit-for-bit.  Checkpoint cadence never changes the fitted output,
         only how often it is persisted.  Re-running the identical
@@ -248,7 +241,6 @@ class Anonymizer:
                 store,
                 every_swaps=checkpoint_every_swaps,
                 every_merges=checkpoint_every_merges,
-                min_interval_s=checkpoint_min_interval_s,
             )
         return self._run_fit(data, store, progress)
 
@@ -260,14 +252,14 @@ class Anonymizer:
         backend: SerialBackend | str | None = None,
         checkpoint_every_swaps: int = 2048,
         checkpoint_every_merges: int = 64,
-        checkpoint_min_interval_s: float = 0.0,
     ) -> "Anonymizer":
         """Continue a killed checkpointed fit from its directory alone.
 
         The checkpoint embeds the input data and the full fit
         configuration, so only the directory is needed; completed phases
-        are loaded, the interrupted phase restarts from its last progress
-        snapshot, and the finished model is **bit-for-bit identical** to
+        are loaded (the aggregate phase is recomputed), the interrupted
+        phase replays the decisions of its last progress snapshot, and
+        the finished model is **bit-for-bit identical** to
         what the uninterrupted run would have produced (labels, EMDs,
         counters — pinned by the crash/resume test matrix).  ``backend``
         is a pure execution choice, as in :meth:`load`.
@@ -286,7 +278,6 @@ class Anonymizer:
             store,
             every_swaps=checkpoint_every_swaps,
             every_merges=checkpoint_every_merges,
-            min_interval_s=checkpoint_min_interval_s,
         )
         return model._run_fit(data, store, progress)
 
@@ -367,34 +358,24 @@ class Anonymizer:
         )
 
         def compute_aggregate():
-            release = aggregate_partition(data, result.partition).drop_identifiers()
             qi_names = data.quasi_identifiers
             representatives = cluster_centroids(data, result.partition, qi_names)
+            labels = result.partition.labels
+            release = data.with_columns(
+                {name: representatives[labels, j] for j, name in enumerate(qi_names)}
+            ).drop_identifiers()
             encoder = QIEncoder.fit(data, qi_names)
             encoded = encoder.encode(representatives)
             return release, qi_names, representatives, encoder, encoded
 
-        def aggregate_to_state(value):
-            release, qi_names, representatives, encoder, encoded = value
-            return {
-                "release": microdata_to_state(release),
-                "qi_names": list(qi_names),
-                "representatives": representatives,
-                "encoded_representatives": encoded,
-                "encoder": encoder.to_dict(),
-            }
-
-        def aggregate_from_state(state):
-            return (
-                microdata_from_state(state["release"]),
-                tuple(state["qi_names"]),
-                state["representatives"],
-                QIEncoder.from_dict(state["encoder"]),
-                state["encoded_representatives"],
-            )
-
+        # The aggregate is a deterministic function of (data, partition)
+        # that costs a fraction of a second, so its checkpoint is only a
+        # completion marker and a resume recomputes it.
         release, qi_names, representatives, encoder, encoded = run_phase(
-            "aggregate", compute_aggregate, aggregate_to_state, aggregate_from_state
+            "aggregate",
+            compute_aggregate,
+            lambda value: {},
+            lambda state: compute_aggregate(),
         )
 
         def compute_verify():

@@ -52,16 +52,12 @@ def aggregate_partition(
         names = data.quasi_identifiers
     if not names:
         raise ValueError("no columns to aggregate (dataset has no quasi-identifiers)")
-
-    replacements: dict[str, np.ndarray] = {}
-    for name in names:
-        spec = data.spec(name)
-        column = data.values(name)
-        out = np.empty(data.n_records, dtype=np.float64)
-        for members in partition.clusters():
-            out[members] = centroid_value(column[members], spec)
-        replacements[name] = out
-    return data.with_columns(replacements)
+    names = tuple(names)
+    representatives = cluster_centroids(data, partition, names)
+    labels = partition.labels
+    return data.with_columns(
+        {name: representatives[labels, j] for j, name in enumerate(names)}
+    )
 
 
 def cluster_centroids(

@@ -396,63 +396,6 @@ class ClusteringEngine:
         order = np.argsort(d2[cand], kind="stable")[:k]
         return self._ids[cand[order]]
 
-    # -- checkpoint support ----------------------------------------------------
-    #
-    # The engine's observable behaviour is path-dependent in ways a naive
-    # "rebuild from the kill list" cannot reproduce bitwise: the running
-    # coordinate sum accumulates rounding in kill/replace order, the
-    # compaction history fixes the window layout, and callers reuse the
-    # last evaluated distance buffer across kills (MDAV's second seed,
-    # Algorithm 2's x1).  snapshot()/restore() therefore capture the
-    # exact internal arrays, so a restored engine continues bit-for-bit.
-
-    def snapshot(self) -> dict:
-        """Capture full engine state for an exact-resume checkpoint."""
-        m = self._m
-        return {
-            "X": self._X.copy(),
-            "ids": self._ids[:m].copy(),
-            "alive": self._alive[:m].copy(),
-            "n_alive": int(self._n_alive),
-            "sum": self._sum.copy(),
-            "d2": self._d2[:m].copy(),
-            "dead_pos": self._dead_pos[: self._n_dead].copy(),
-            "n_evals": int(self._n_evals),
-            "n_compactions": int(self._n_compactions),
-        }
-
-    def restore(self, state: dict) -> None:
-        """Restore a :meth:`snapshot`, continuing bit-for-bit.
-
-        The engine must have been constructed over a same-shaped matrix
-        with the same ``compact_ratio``/``chunk_size`` configuration as
-        the snapshotted one.
-        """
-        X = np.ascontiguousarray(np.asarray(state["X"], dtype=np.float64))
-        if X.shape != self._X.shape:
-            raise ValueError(
-                f"snapshot is for a {X.shape} matrix, engine holds "
-                f"{self._X.shape}"
-            )
-        ids = np.asarray(state["ids"], dtype=np.int64)
-        m = ids.size
-        self._X = X
-        self._X_owned = True  # X is our private copy from the snapshot
-        self._ids[:m] = ids
-        self._pos[:] = -1
-        self._pos[ids] = np.arange(m, dtype=np.int64)
-        self._alive[:m] = np.asarray(state["alive"], dtype=bool)
-        self._m = m
-        self._n_alive = int(state["n_alive"])
-        self._sum = np.asarray(state["sum"], dtype=np.float64).copy()
-        self._XwT[:, :m] = X[ids].T
-        self._d2[:m] = np.asarray(state["d2"], dtype=np.float64)
-        dead = np.asarray(state["dead_pos"], dtype=np.int64)
-        self._dead_pos[: dead.size] = dead
-        self._n_dead = dead.size
-        self._n_evals = int(state["n_evals"])
-        self._n_compactions = int(state["n_compactions"])
-
     # -- state updates ---------------------------------------------------------
 
     def replace_row(self, record_id: int, row: np.ndarray) -> None:

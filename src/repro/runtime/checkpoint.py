@@ -10,10 +10,12 @@ one fit in flight:
     The input table itself, so ``Anonymizer.resume(dir)`` needs nothing
     but the directory.
 ``phase-<name>.npz``
-    Output of a completed pipeline phase (cluster / repair / aggregate).
+    Output of a completed pipeline phase (cluster / repair / verify); the
+    aggregate phase, cheap to recompute, records only its completion.
 ``progress-<stage>.<seq>.npz``
     Intra-phase snapshot from inside a long loop (Algorithm 2's swap
-    refinement, the merge loops), sequence-numbered.
+    refinement, the merge loops), sequence-numbered.  It records the
+    loop's decisions so far, which a resume replays.
 ``manifest.json``
     The *commit record*: which phase/progress files are current, with
     their SHA-256 checksums.  Every state write lands fully (atomic
@@ -34,7 +36,6 @@ from __future__ import annotations
 import inspect
 import io
 import json
-import time
 from pathlib import Path
 from typing import Callable
 
@@ -64,7 +65,7 @@ from .serialize import (
 )
 
 #: Bumped whenever the on-disk checkpoint layout changes incompatibly.
-CHECKPOINT_FORMAT_VERSION = 3
+CHECKPOINT_FORMAT_VERSION = 4
 
 _META_KEY = "__meta__"
 
@@ -362,9 +363,7 @@ class FitProgress:
     the same fitted output.
 
     Stages whose name ends in ``merge`` are gated by ``every_merges``;
-    every other stage (the swap-refinement loops) by ``every_swaps``.  A
-    ``min_interval_s`` floor (default 0: disabled, fully deterministic
-    ticks) additionally rate-limits wall-clock churn on fast loops.
+    every other stage (the swap-refinement loops) by ``every_swaps``.
     """
 
     def __init__(
@@ -373,16 +372,13 @@ class FitProgress:
         *,
         every_swaps: int = 2048,
         every_merges: int = 64,
-        min_interval_s: float = 0.0,
     ) -> None:
         if every_swaps < 1 or every_merges < 1:
             raise ValueError("checkpoint cadence must be >= 1")
         self.store = store
         self.every_swaps = int(every_swaps)
         self.every_merges = int(every_merges)
-        self.min_interval_s = float(min_interval_s)
         self._last_units: dict[str, int] = {}
-        self._last_time: dict[str, float] = {}
 
     def _cadence(self, stage: str) -> int:
         return self.every_merges if stage.endswith("merge") else self.every_swaps
@@ -397,9 +393,8 @@ class FitProgress:
     def units_until_due(self, stage: str, units: int) -> int:
         """Units left, from ``units``, until :meth:`tick` next writes (>= 1).
 
-        At least 1 even when a tick was already due (one declined by
-        ``min_interval_s``), so a loop that runs to this many units
-        between ticks always advances.
+        At least 1 even when a tick is already due, so a loop that runs
+        to this many units between ticks always advances.
         """
         return max(1, self._last_units.get(stage, 0) + self._cadence(stage) - units)
 
@@ -412,15 +407,10 @@ class FitProgress:
         force: bool = False,
     ) -> bool:
         """Maybe persist a snapshot at a safe point; returns True if written."""
-        if not force:
-            if units - self._last_units.get(stage, 0) < self._cadence(stage):
-                return False
-            if self.min_interval_s > 0.0:
-                now = time.monotonic()
-                if now - self._last_time.get(stage, 0.0) < self.min_interval_s:
-                    return False
+        due = units - self._last_units.get(stage, 0) >= self._cadence(stage)
+        if not (force or due):
+            return False
         self.store.write_progress(stage, units, state_fn())
         self._last_units[stage] = units
-        self._last_time[stage] = time.monotonic()
         fault_point(f"progress:{stage}")
         return True

@@ -1,11 +1,11 @@
 """State-tree serialization for checkpoints and artifacts.
 
 Checkpoint state is produced by the algorithms as *nested dicts* whose
-leaves are numpy arrays or JSON-able scalars (the ``snapshot()`` protocol
-of the engine and the EMD trackers).  This module flattens such a tree
-into the two things an ``.npz`` + manifest pair can hold — a flat mapping
-of arrays (keys joined with ``/``) and a JSON-able scalar tree — and
-reassembles the identical tree on load.  Arrays round-trip bitwise
+leaves are numpy arrays or JSON-able scalars (the decisions a loop has
+taken so far: clusters carved, pairs merged).  This module flattens such
+a tree into the two things an ``.npz`` + manifest pair can hold — a flat
+mapping of arrays (keys joined with ``/``) and a JSON-able scalar tree —
+and reassembles the identical tree on load.  Arrays round-trip bitwise
 (dtype, shape and bytes), scalars through JSON (arbitrary-precision ints
 included, which the RNG bit-generator state needs).
 

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro import METHODS, TClosenessAnonymizer, TClosenessResult, anonymize
+from repro import (
+    METHODS,
+    Anonymizer,
+    KAnonymity,
+    TCloseness,
+    TClosenessResult,
+    anonymize,
+)
 from repro.core import ConfidentialModel
 from repro.data import AttributeRole, Microdata, load_mcd, numeric
 from repro.microagg import Partition
@@ -64,18 +71,18 @@ class TestAnonymizeFunction:
 
 class TestAnonymizerClass:
     def test_anonymize_and_result(self, mcd_small):
-        anonymizer = TClosenessAnonymizer(k=5, t=0.15)
-        release = anonymizer.anonymize(mcd_small)
+        anonymizer = Anonymizer(KAnonymity(5) & TCloseness(0.15))
+        release = anonymizer.fit_transform(mcd_small)
         assert release.n_records == mcd_small.n_records
         assert anonymizer.result_ is not None
         assert anonymizer.result_.satisfies_t
 
     def test_unknown_method_rejected_eagerly(self):
         with pytest.raises(ValueError, match="unknown method"):
-            TClosenessAnonymizer(k=2, t=0.1, method="nope")
+            Anonymizer(KAnonymity(2) & TCloseness(0.1), method="nope")
 
     def test_result_none_before_run(self):
-        assert TClosenessAnonymizer(k=2, t=0.1).result_ is None
+        assert Anonymizer(KAnonymity(2) & TCloseness(0.1)).result_ is None
 
 
 class TestResultObject:

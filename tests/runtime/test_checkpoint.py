@@ -184,7 +184,7 @@ class TestCheckpointStore:
         from repro.runtime import faults
         from repro.runtime.faults import InjectedFault
 
-        assert checkpoint_mod.CHECKPOINT_FORMAT_VERSION == 3
+        assert checkpoint_mod.CHECKPOINT_FORMAT_VERSION == 4
         monkeypatch.setattr(checkpoint_mod, "CHECKPOINT_FORMAT_VERSION", 1)
         directory = tmp_path / "ck"
         faults.arm_from_spec("alg2.swap@30")
@@ -203,7 +203,7 @@ class TestCheckpointStore:
         from repro.runtime import faults
         from repro.runtime.faults import InjectedFault
 
-        assert checkpoint_mod.CHECKPOINT_FORMAT_VERSION == 3
+        assert checkpoint_mod.CHECKPOINT_FORMAT_VERSION == 4
         monkeypatch.setattr(checkpoint_mod, "CHECKPOINT_FORMAT_VERSION", 2)
         directory = tmp_path / "ck"
         faults.arm_from_spec("merge.step@5")
@@ -213,6 +213,26 @@ class TestCheckpointStore:
             )
         monkeypatch.undo()
         with pytest.raises(ArtifactVersionError, match="format version 2"):
+            Anonymizer.resume(directory)
+
+    def test_format_3_checkpoint_refused(self, tmp_path, mcd_small, monkeypatch):
+        """A mid-refinement Algorithm 2 checkpoint written by a format-3
+        build (the clustering engine's private arrays beside the finished
+        clusters) cannot be resumed."""
+        from repro import Anonymizer
+        from repro.runtime import faults
+        from repro.runtime.faults import InjectedFault
+
+        assert checkpoint_mod.CHECKPOINT_FORMAT_VERSION == 4
+        monkeypatch.setattr(checkpoint_mod, "CHECKPOINT_FORMAT_VERSION", 3)
+        directory = tmp_path / "ck"
+        faults.arm_from_spec("alg2.swap@30")
+        with pytest.raises(InjectedFault):
+            Anonymizer(KAnonymity(4) & TCloseness(0.08), method="kanon-first").fit(
+                mcd_small, checkpoint=directory, checkpoint_every_swaps=4
+            )
+        monkeypatch.undo()
+        with pytest.raises(ArtifactVersionError, match="format version 3"):
             Anonymizer.resume(directory)
 
     def test_verify_against_other_data(self, tmp_path, mcd_small):

@@ -20,9 +20,11 @@ import numpy as np
 import pytest
 
 from repro import Anonymizer, DistinctLDiversity, KAnonymity, TCloseness
-from repro.core.confidential import ConfidentialModel
+from repro.core.confidential import UNLIMITED, ConfidentialModel
+from repro.core.kanon_first import kanonymity_first
 from repro.core.repair import enforce_policy
 from repro.data import load_mcd, write_csv
+from repro.microagg.engine import ClusteringEngine
 from repro.runtime import (
     ArtifactMissingError,
     CheckpointStore,
@@ -151,6 +153,90 @@ class TestKanonFirstMatrix:
             mcd_small, checkpoint=ck, **CADENCE
         )
         assert_bitwise_equal(again, golden)
+
+
+class _BetweenClusters(FitProgress):
+    """Progress whose refinement never stops for a tick, so every
+    ``"alg2"`` snapshot lands between two clusters."""
+
+    def units_until_due(self, stage, units):
+        return UNLIMITED
+
+
+class TestKanonFirstBetweenClusters:
+    """Algorithm 2 resumed from a snapshot taken between clusters, at every
+    cluster boundary.  An odd cluster seeds from the distance buffer the
+    previous cluster's seeding filled, so those resumes must rebuild it."""
+
+    def test_kill_after_every_cluster(self, mcd_small, tmp_path):
+        k, t = 4, 0.08
+        golden = kanonymity_first(mcd_small, k, t)
+        parities = set()
+        for n in range(1, golden.info["clusters_before_merge"] + 1):
+            directory = tmp_path / f"ck{n}"
+            store = CheckpointStore.open(
+                directory, config={"unit": "alg2"}, data=mcd_small
+            )
+            faults.arm_from_spec(f"alg2.cluster@{n}")
+            with pytest.raises(InjectedFault):
+                try:
+                    kanonymity_first(
+                        mcd_small, k, t, progress=_BetweenClusters(store, every_swaps=1)
+                    )
+                finally:
+                    faults.clear()
+            store = CheckpointStore.load(directory)
+            saved = store.load_progress("alg2")
+            if saved is not None:
+                assert "cluster" not in saved
+                parities.add(saved["meta"]["parity"])
+            resumed = kanonymity_first(
+                mcd_small, k, t, progress=_BetweenClusters(store, every_swaps=1)
+            )
+            np.testing.assert_array_equal(
+                resumed.partition.labels, golden.partition.labels
+            )
+            assert resumed.cluster_emds.tobytes() == golden.cluster_emds.tobytes()
+            assert resumed.info == golden.info
+        assert parities == {0, 1}
+
+
+class TestMergeCentroidReplay:
+    """A resumed merge loop rebuilds the merged clusters' centroid rows
+    bitwise: from the kill on, it makes the uninterrupted fit's
+    ``replace_row`` calls, row bytes included.  Labels alone miss a
+    replay that rebuilds centroids any other way."""
+
+    def test_replace_row_calls_continue_bitwise(self, tmp_path, monkeypatch):
+        data = load_mcd(n=300)
+        policy = KAnonymity(3) & TCloseness(0.05)
+        calls = []
+        replace_row = ClusteringEngine.replace_row
+
+        def recording(engine, record_id, row):
+            calls.append((int(record_id), np.asarray(row, dtype=np.float64).tobytes()))
+            replace_row(engine, record_id, row)
+
+        monkeypatch.setattr(ClusteringEngine, "replace_row", recording)
+        golden = Anonymizer(policy, method="merge").fit(data)
+        expected = list(calls)
+        n_merges = golden.result_.info["n_merges"]
+        assert len(expected) == n_merges > 6
+        for n in np.linspace(1, n_merges, 6).astype(int):
+            ck = tmp_path / f"ck{n}"
+            faults.arm_from_spec(f"merge.step@{n}")
+            with pytest.raises(InjectedFault):
+                try:
+                    Anonymizer(policy, method="merge").fit(
+                        data, checkpoint=ck, **CADENCE
+                    )
+                finally:
+                    faults.clear()
+            calls.clear()
+            resumed = Anonymizer.resume(ck, **CADENCE)
+            assert_bitwise_equal(resumed, golden)
+            tail = expected[n - 1 :]
+            assert calls[len(calls) - len(tail) :] == tail, f"killed at merge {n}"
 
 
 class TestTcloseFirstMatrix:

@@ -30,7 +30,7 @@ def test_all_exports_resolve(package_name):
 
 
 def test_top_level_quickstart_names():
-    for name in ("anonymize", "TClosenessAnonymizer", "Microdata", "METHODS"):
+    for name in ("anonymize", "Anonymizer", "Microdata", "METHODS"):
         assert hasattr(repro, name)
 
 
