@@ -15,10 +15,17 @@ later member, and when the merge fallback's decisions did (its merges
 went 17 -> 16); its labels are those of the brute-force exact rational
 references (``tests/microagg/test_alg2_reference.py`` for the swaps,
 ``tests/microagg/test_merge_reference.py`` for the merges), which the
-current code reproduces.  It is the contract the engine-backed rewrites
-are held to:
-rerunning this script after any partitioner change must reproduce the
-committed file bit-for-bit.
+current code reproduces.  Nine more were re-blessed when the k-nearest
+step took the lowest-id rule (the k smallest (distance, id); the seed
+left boundary ties to ``np.argpartition``, whose tie order follows
+numpy's SIMD dispatch): ``mdav/{num_dups,num_int,num_int_dups}`` and
+``vmdav/{num_int,num_int_dups}/g{0.0,0.2,1.0}``.  Their labels were
+written from the brute-force MDAV and V-MDAV of
+``tests/microagg/test_mdav_reference.py`` (``X[remaining]`` every round,
+``np.lexsort((ids, d2))[:k]``), which every ``mdav/*`` and ``vmdav/*``
+entry equals.  It is the contract the engine-backed rewrites are held
+to: rerunning this script after any partitioner change must reproduce
+the committed file bit-for-bit.
 
 A second fixture, ``tests/microagg/fixtures/kanon_first_golden.npz``,
 covers *end-to-end* runs of the swap/merge-heavy algorithms on the
@@ -35,7 +42,13 @@ of 13: after 13 merges a class sits at EMD exactly 3/20 with t = 0.15,
 and the float 0.15 is 3/20 - 5.6e-18, so the class overshoots t.  Those
 entries were regenerated from the current code after it was proven equal
 to the references (``test_alg2_reference.py``,
-``test_merge_reference.py``).  Labels and counters are compared
+``test_merge_reference.py``).  With the lowest-id k-nearest rule, five
+Algorithm 1 arrays moved, because MDAV's starting partition did:
+``md_categorical_tight/alg1/{counters,emds,labels}`` and
+``md_int_grid_tight/alg1/{emds,labels}``.  They were written from the
+brute-force MDAV of ``test_mdav_reference.py`` followed by the merge
+reference (EMDs as exact fractions, correctly rounded), which every
+``*/alg1`` entry equals.  Labels and counters are compared
 bit-for-bit, EMDs within 1e-12 — reported EMDs are exact ratios correctly
 rounded, while most stored EMDs came from float evaluations that may
 differ in the last ulp.

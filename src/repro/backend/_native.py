@@ -1,7 +1,8 @@
-"""Optional compiled kernels: the kd assign query and Algorithm 2's refinement.
+"""Optional compiled kernels: the kd assign query, Algorithm 2's refinement
+and the clustering engine's per-round scans.
 
 On hosts that ship a C compiler this module builds one small shared
-library with two entry points.
+library with four entry points.
 
 ``repro_kd_nearest`` answers serving's nearest-representative queries
 (:func:`repro.backend.kernels.nearest_block`) against a
@@ -38,7 +39,22 @@ decides exactly as the Python spec :meth:`SwapFrame.refine
 <repro.core.confidential.SwapFrame.refine>` does.  It keeps no static
 state; its work arrays are allocated per call.
 
-Both C calls release the GIL (``ctypes.CDLL``), so calls from concurrent
+``repro_sq_distances`` is the canonical column-sequential kernel of
+:mod:`repro.backend.kernels` (the same loop as a kd leaf scan, also
+compiled with ``-ffp-contract=off``) over the first n records of a
+column-major matrix; :meth:`repro.backend.SerialBackend.eval_sq_distances`
+runs it once per evaluation.  ``repro_k_nearest`` makes one pass over the
+clustering engine's distance buffer and keeps, in a max-heap, the k live
+window positions with the smallest (distance, position); a later
+position never wins a tie, so a candidate enters only when strictly
+closer than the heap's root.  Window positions ascend with record ids,
+so the result is the (distance, id) order that
+:func:`repro.backend.kernels.k_smallest_indices` defines, independent of
+numpy's SIMD dispatch.  Both are reached through raw-address bindings
+that check their arrays' layout themselves, so a call costs a few
+microseconds of Python.
+
+Every C call releases the GIL (``ctypes.CDLL``), so calls from concurrent
 threads (serving's batcher runs each assign on an executor thread, fits
 may run on several threads) run in parallel.
 
@@ -50,13 +66,16 @@ The build is best-effort and cached:
   hash of the source and toolchain, so forked serving workers and repeat
   processes reuse one artifact (built via a unique temp name and
   ``os.replace`` — concurrent builders race benignly);
-* after loading, a differential self-check runs both entry points
-  against their specs on tie-heavy fixtures — the kd query through a
-  forced multi-level tree and through a single leaf, the refinement over
+* after loading, a differential self-check runs every entry point
+  against its spec on tie-heavy fixtures — the kd query through a forced
+  multi-level tree and through a single leaf, the refinement over
   duplicate ordered bins, a nominal attribute, two attributes and a
-  one-bin attribute at budgets 1 and unlimited — and rejects the library
-  on any difference, so a misbehaving toolchain degrades to the (slow,
-  correct) specs instead of corrupting results.
+  one-bin attribute at budgets 1 and unlimited, the distance scan over
+  half-integer grids with duplicated rows and a window shorter than its
+  buffer, the selection over distances in {0, 1, 2} with dead positions
+  at k = 1 up to past the live count — and rejects the library on any
+  difference, so a misbehaving toolchain degrades to the (slow, correct)
+  specs instead of corrupting results.
 """
 
 from __future__ import annotations
@@ -214,6 +233,102 @@ void repro_kd_nearest(const double *restrict rows, long long n, long long d,
             assignment[i] = best_id;
         }
     }
+}
+
+/* ---- The clustering engine's per-round scans ----------------------------
+ *
+ * Canonical squared distances from point to the first n records of a
+ * column-major matrix (column j starts at cols + j * stride), blocked by
+ * rows so the running sums stay in cache; each row's accumulation is the
+ * same in every blocking.
+ */
+void repro_sq_distances(const double *restrict cols, long long stride,
+                        long long d, const double *restrict point,
+                        double *restrict out, long long n)
+{
+    for (long long r0 = 0; r0 < n; r0 += BLOCK) {
+        long long m = n - r0 < BLOCK ? n - r0 : BLOCK;
+        double *o = out + r0, p0 = point[0];
+        const double *c0 = cols + r0;
+        for (long long r = 0; r < m; ++r) {
+            double t = c0[r] - p0;
+            o[r] = t * t;
+        }
+        for (long long j = 1; j < d; ++j) {
+            const double *cj = cols + j * stride + r0;
+            double pj = point[j];
+            for (long long r = 0; r < m; ++r) {
+                double t = cj[r] - pj;
+                o[r] += t * t;
+            }
+        }
+    }
+}
+
+/* Whether position a sorts after position b by (d2, position). */
+static int after(const double *d2, long long a, long long b)
+{
+    return d2[a] > d2[b] || (d2[a] == d2[b] && a > b);
+}
+
+/* Restore the max-heap below heap[i] (the root sorts last). */
+static void sift(long long *heap, long long size, long long i,
+                 const double *d2)
+{
+    for (;;) {
+        long long top = i, l = 2 * i + 1, r = l + 1;
+        if (l < size && after(d2, heap[l], heap[top]))
+            top = l;
+        if (r < size && after(d2, heap[r], heap[top]))
+            top = r;
+        if (top == i)
+            return;
+        long long s = heap[i];
+        heap[i] = heap[top];
+        heap[top] = s;
+        i = top;
+    }
+}
+
+/* The k live positions p < m (alive[p] != 0) with the smallest
+ * (d2[p], p), in that order, into out; returns how many (k, or every live
+ * position when fewer).  One pass keeps the k best in a max-heap: a later
+ * position never wins a tie, so a candidate enters only when strictly
+ * closer than the heap's root.  Returns -1 when a NaN distance is among
+ * the first k live ones (the caller then takes the numpy spec, which
+ * sorts NaN last).
+ */
+long long repro_k_nearest(const double *restrict d2,
+                          const unsigned char *restrict alive, long long m,
+                          long long k, long long *restrict out)
+{
+    long long size = 0, p = 0;
+    for (; p < m && size < k; ++p) {
+        if (!alive[p])
+            continue;
+        if (d2[p] != d2[p])
+            return -1;
+        out[size++] = p;
+    }
+    for (long long i = size / 2 - 1; i >= 0; --i)
+        sift(out, size, i, d2);
+    if (size) {
+        double worst = d2[out[0]];
+        for (; p < m; ++p) {
+            if (d2[p] < worst && alive[p]) {
+                out[0] = p;
+                sift(out, size, 0, d2);
+                worst = d2[out[0]];
+            }
+        }
+    }
+    for (long long end = size - 1; end > 0; --end) {
+        long long s = out[0];
+        out[0] = out[end];
+        out[end] = s;
+        sift(out, end, 0, d2);
+    }
+    return size;
 }
 
 /* ---- Algorithm 2's swap refinement, exact integers ----------------------
@@ -506,10 +621,12 @@ def _compile(cc: str) -> Path | None:
 
 
 class Native(NamedTuple):
-    """The library's two bound entry points (see :func:`load`)."""
+    """The library's four bound entry points (see :func:`load`)."""
 
     kd_nearest: Callable
     alg2_refine: Callable
+    sq_distances: Callable
+    k_nearest: Callable
 
 
 def _bind_kd(fn):
@@ -574,6 +691,68 @@ def _bind_refine(fn):
         return int(out[0]), int(out[1]), int(status)
 
     return refine
+
+
+def _bind_sq(fn):
+    """The raw scan as ``scan(cols, point, out, n) -> bool``.
+
+    Fills ``out[:n]`` with the canonical squared distances from ``point``
+    (float64, contiguous, ``d >= 1`` entries) to the first ``n`` records of
+    ``cols``, the transposed record matrix, whose columns must each be
+    contiguous float64 (any column stride).  Returns ``False``, touching
+    nothing, for any other layout; the caller then runs the numpy spec.
+    """
+
+    def scan(cols, point, out, n) -> bool:
+        if not (
+            cols.dtype == point.dtype == out.dtype == np.float64
+            and cols.ndim == 2
+            and cols.strides[1] == 8
+            and cols.strides[0] % 8 == 0
+            and point.ndim == out.ndim == 1
+            and point.flags.c_contiguous
+            and out.flags.c_contiguous
+            and 0 < point.shape[0] <= cols.shape[0]
+            and 0 <= n <= min(cols.shape[1], out.shape[0])
+        ):
+            return False
+        fn(
+            cols.ctypes.data,
+            cols.strides[0] // 8,
+            point.shape[0],
+            point.ctypes.data,
+            out.ctypes.data,
+            n,
+        )
+        return True
+
+    return scan
+
+
+def _bind_k_nearest(fn):
+    """The raw selection as ``select(d2, alive, m, k)``.
+
+    ``d2`` (float64) and ``alive`` (bool) are contiguous buffers at least
+    ``m`` long.  Returns the positions ``p < m`` with ``alive[p]`` of the
+    ``k`` smallest ``(d2[p], p)``, in that order (every live position when
+    fewer), or ``None`` when the kernel declines: a NaN among the first k
+    live distances, or buffers it does not take.
+    """
+
+    def select(d2, alive, m, k):
+        if not (
+            d2.dtype == np.float64
+            and alive.dtype == np.bool_
+            and d2.flags.c_contiguous
+            and alive.flags.c_contiguous
+            and 0 <= m <= min(d2.shape[0], alive.shape[0])
+        ):
+            return None
+        out = np.empty(max(min(k, m), 0), dtype=np.int64)
+        got = fn(d2.ctypes.data, alive.ctypes.data, m, k, out.ctypes.data)
+        return None if got < 0 else out[:got]
+
+    return select
 
 
 def _check_kd(query) -> bool:
@@ -648,9 +827,68 @@ def _check_refine(refine) -> bool:
     return True
 
 
+def _check_sq(scan) -> bool:
+    """The distance scan must be bit-for-bit the numpy kernel.
+
+    Half-integer grids (exact ties between distinct records), duplicated
+    rows, one column and four, a square overflowing to inf, a window
+    shorter than the buffer and a column stride longer than the window,
+    as in the clustering engine's working copy.
+    """
+    from . import kernels
+
+    rng = np.random.default_rng(0)
+    for d in (1, 4):
+        cols = np.round(rng.standard_normal((d, 300)) * 2.0) / 2.0
+        cols[:, 200:240] = cols[:, 7:8]
+        cols[0, 5] = 1e200
+        for n in (300, 123, 1):
+            point = cols[:, 7].copy()
+            want, tmp = np.empty(300), np.empty(300)
+            with np.errstate(over="ignore"):
+                kernels.sq_distances_block(cols, point, want, tmp, 0, n)
+            got = np.full(300, -1.0)
+            if not scan(cols, point, got, n):
+                return False
+            if not (np.array_equal(got[:n], want[:n]) and (got[n:] == -1.0).all()):
+                return False
+    return True
+
+
+def _check_k_nearest(select) -> bool:
+    """The selection must equal the numpy spec, ties to the lower position.
+
+    Distances in {0, 1, 2} (ties at every boundary) with dead positions,
+    at k = 1, a middling k, k = live - 1, k = live and k > live, over a
+    window shorter than the buffer.
+    """
+    from . import kernels
+
+    rng = np.random.default_rng(0)
+    for size in (40, 257):
+        d2 = rng.integers(0, 3, size).astype(np.float64)
+        alive = rng.random(size) < 0.8
+        for m in (size, size - 9):
+            live = int(alive[:m].sum())
+            for k in (1, 5, live - 1, live, live + 3):
+                if k < 1:
+                    continue
+                want = kernels._k_nearest_live_numpy(d2, alive, m, k)
+                got = select(d2, alive, m, k)
+                if got is None or not np.array_equal(got, want):
+                    return False
+    return True
+
+
 def _self_check(native: Native) -> bool:
-    """Both entry points must equal their specs (kd query, refinement)."""
-    return _check_kd(native.kd_nearest) and _check_refine(native.alg2_refine)
+    """Every entry point must equal its spec (kd query, refinement,
+    distance scan, k-nearest selection)."""
+    return (
+        _check_kd(native.kd_nearest)
+        and _check_refine(native.alg2_refine)
+        and _check_sq(native.sq_distances)
+        and _check_k_nearest(native.k_nearest)
+    )
 
 
 def load() -> Native | None:
@@ -702,8 +940,8 @@ def load() -> Native | None:
         kd.restype = None
         refine = lib.repro_alg2_refine
         # Raw addresses: ndpointer's per-call checks would dominate the
-        # short refinement calls; _bind_refine checks the two per-call
-        # arrays itself.
+        # short refinement calls and the engine's per-round scans; the
+        # bindings check their per-call arrays themselves.
         c_void_p = ctypes.c_void_p
         refine.argtypes = [
             c_void_p,
@@ -718,7 +956,18 @@ def load() -> Native | None:
             c_void_p,
         ]
         refine.restype = c_int64
-        native = Native(_bind_kd(kd), _bind_refine(refine))
+        sq = lib.repro_sq_distances
+        sq.argtypes = [c_void_p, c_int64, c_int64, c_void_p, c_void_p, c_int64]
+        sq.restype = None
+        k_nearest = lib.repro_k_nearest
+        k_nearest.argtypes = [c_void_p, c_void_p, c_int64, c_int64, c_void_p]
+        k_nearest.restype = c_int64
+        native = Native(
+            _bind_kd(kd),
+            _bind_refine(refine),
+            _bind_sq(sq),
+            _bind_k_nearest(k_nearest),
+        )
         if not _self_check(native):
             return None
         _cached = native

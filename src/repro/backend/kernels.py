@@ -14,7 +14,15 @@ by this module, so
   category-encoded data) are preserved everywhere;
 * the arithmetic of one output row never depends on which other rows are
   evaluated alongside it — any row-blocking (``chunk_size`` cache
-  chunking) produces bit-for-bit the same buffer.
+  chunking, or the compiled scan's own blocks) produces bit-for-bit the
+  same buffer.
+
+Selections over those distances follow one rule,
+:func:`k_smallest_indices`: the k smallest (distance, index), in that
+order.  It never depends on ``np.argpartition``'s tie order, which
+follows numpy's SIMD dispatch and so differs between hosts; the
+clustering engine's k-nearest step (:func:`k_nearest_live`) is the same
+rule over a buffer with dead positions.
 
 Historical note ("one last-ulp rounding"): the seed implementations
 summed squares via ``einsum``; canonicalizing to this kernel changed
@@ -52,9 +60,10 @@ single leaf, and the query is the brute scan.
 This module deliberately imports nothing from the rest of the library
 (the distance layer and the compute backend both sit on top of it) —
 the one exception is its private sibling :mod:`repro.backend._native`,
-the compiled kd query, which is admitted only after a load-time
-differential self-check proves it bitwise equal to the numpy arithmetic
-defined here.
+whose compiled kd query, distance scan and k-nearest selection are
+admitted only after a load-time differential self-check proves them
+bitwise equal to the numpy specs defined here (its fourth entry point,
+Algorithm 2's refinement, has its spec in :mod:`repro.core.confidential`).
 """
 
 from __future__ import annotations
@@ -114,6 +123,60 @@ def sq_distances_block(
         np.subtract(cols[j, seg], point[j], out=tmp[seg])
         tmp[seg] *= tmp[seg]
         out[seg] += tmp[seg]
+
+
+def k_smallest_indices(d2: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` smallest entries of ``d2``, ascending by
+    ``(value, index)`` (every index when ``k >= len(d2)``).
+
+    The one selection rule of every partitioner's "k nearest" step: the
+    k-th smallest value bounds the selection, every entry at or below it
+    is a candidate (so all boundary ties are present), and a stable sort
+    of the candidates orders exact ties by index.  Nothing depends on
+    ``np.argpartition``'s tie order, which follows numpy's SIMD dispatch
+    and differs between hosts.  NaN sorts last, as in ``np.argsort``.
+    """
+    if k <= 0:
+        raise ValueError(f"k must be positive, got {k}")
+    if k >= len(d2):
+        return np.argsort(d2, kind="stable")
+    bound = np.partition(d2, k - 1)[k - 1]
+    if np.isnan(bound):  # fewer than k non-NaN entries
+        return np.argsort(d2, kind="stable")[:k]
+    cand = np.flatnonzero(d2 <= bound)
+    return cand[np.argsort(d2[cand], kind="stable")[:k]]
+
+
+def k_nearest_live(
+    d2: np.ndarray, alive: np.ndarray, m: int, k: int
+) -> np.ndarray:
+    """Positions ``p < m`` with ``alive[p]`` of the ``k`` smallest
+    ``(d2[p], p)``, in that order (every live position when fewer).
+
+    The clustering engine's k-nearest step over its distance buffer,
+    whose positions ascend with record ids, so this is the (distance, id)
+    order.  Runs the compiled one-pass selection in
+    :mod:`repro.backend._native` when it loaded, else the numpy spec
+    :func:`_k_nearest_live_numpy`; the load-time self-check proves the two
+    equal on tie-heavy buffers.
+    """
+    if k <= 0:
+        raise ValueError(f"k must be positive, got {k}")
+    native = _native.load()
+    if native is not None:
+        got = native.k_nearest(d2, alive, m, k)
+        if got is not None:
+            return got
+    return _k_nearest_live_numpy(d2, alive, m, k)
+
+
+def _k_nearest_live_numpy(
+    d2: np.ndarray, alive: np.ndarray, m: int, k: int
+) -> np.ndarray:
+    """The numpy spec of :func:`k_nearest_live`: gather the live
+    positions (ascending), select by :func:`k_smallest_indices`."""
+    live = np.flatnonzero(alive[:m])
+    return live[k_smallest_indices(d2[live], k)]
 
 
 #: Representatives per leaf that the split rule aims for.

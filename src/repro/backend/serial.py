@@ -10,11 +10,18 @@ instance* they were given, which makes the instance a seam: a subclass
 overriding any of the three (to count calls, time them, or spy on them
 in a test) sees every call the library makes.
 
+Each primitive runs a compiled entry point of :mod:`repro.backend._native`
+when the library loaded (the distance scan, the refinement, the kd query),
+and its numpy or Python spec otherwise (``REPRO_NO_NATIVE=1``, no
+compiler, or a layout the C signature does not take).  The library's
+fourth entry point, the engine's k-nearest selection, is not a seam: it
+is reached through :func:`~repro.backend.kernels.k_nearest_live`.
+
 The paper's algorithms are sequential greedy loops — each cluster, swap
 and merge depends on what the previous step removed — so one step is a
-short numpy call that sharding across workers does not speed up; there
-is one execution strategy, and the rest of the engine's selections
-(masked argmin/argmax, the k-nearest bound) are plain numpy calls inside
+short call that sharding across workers does not speed up; there is one
+execution strategy, and the engine's other selections (masked
+argmin/argmax) are plain numpy calls inside
 :class:`~repro.microagg.engine.ClusteringEngine`.
 """
 
@@ -58,8 +65,15 @@ class SerialBackend:
         output row is computed by the canonical column-sequential kernel
         (:func:`~repro.backend.kernels.sq_distances_block`), whose per-row
         arithmetic is independent of row blocking — so the buffer is
-        bitwise identical for every ``chunk_size``.
+        bitwise identical for every ``chunk_size``.  One call is one
+        evaluation: the compiled scan in :mod:`repro.backend._native`
+        (proven equal to the kernel at load time) covers all ``n`` rows
+        when it loaded and takes the layout; otherwise the numpy kernel
+        runs block by block.
         """
+        native = _native.load()
+        if native is not None and native.sq_distances(cols, point, out, n):
+            return
         for start, stop in iter_blocks(n, chunk_size):
             sq_distances_block(cols, point, out, tmp, start, stop)
 

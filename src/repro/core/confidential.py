@@ -139,9 +139,43 @@ class ConfidentialModel:
                 num, den = s, d
         return num, den
 
+    def emd_ratios(self, clusters: list[np.ndarray]) -> list[tuple[int, int]]:
+        """Every cluster's :meth:`emd_ratio`, in one pass per attribute.
+
+        The members of all clusters are grouped by (cluster, bin) with one
+        sort; an ordered attribute then evaluates
+        :meth:`~repro.distance.OrderedEMDFrame.segment_sums`'s formula
+        over every cluster's segments at once, a nominal one sums
+        ``|n*C_i - c*counts[i]|`` over the categories its members hold
+        plus ``c*counts[i]`` for the rest.  The integers equal
+        :meth:`emd_ratio`'s, cluster by cluster; a rank-mode attribute
+        keeps the per-cluster float.
+        """
+        if not clusters:
+            return []
+        sizes = np.array([len(members) for members in clusters], dtype=np.int64)
+        if sizes.min() == 0:
+            raise ValueError("cluster must be non-empty")
+        flat = np.concatenate(clusters)
+        owner = np.repeat(np.arange(len(clusters), dtype=np.int64), sizes)
+        ratios = [(0, 1)] * len(clusters)
+        for frame, ref, values in zip(self._integer_frames(), self._refs, self._values):
+            if frame is None:
+                terms = [ref.emd(values[m]).as_integer_ratio() for m in clusters]
+            else:
+                check_exact_bound(int(sizes.max()), frame.n, frame.m)
+                nums = _cluster_numerators(frame, owner, frame.bins[flat], sizes)
+                scale = frame.n * frame.weight
+                terms = [(s, c * scale) for s, c in zip(nums.tolist(), sizes.tolist())]
+            ratios = [
+                (s, d) if s * den > num * d else (num, den)
+                for (num, den), (s, d) in zip(ratios, terms)
+            ]
+        return ratios
+
     def partition_emds(self, clusters: list[np.ndarray]) -> np.ndarray:
-        """Per-cluster EMD: :meth:`emd_ratio`, correctly rounded to float."""
-        return np.array([num / den for num, den in map(self.emd_ratio, clusters)])
+        """Per-cluster EMD: :meth:`emd_ratios`, correctly rounded to float."""
+        return np.array([num / den for num, den in self.emd_ratios(clusters)])
 
     # -- exact swap refinement (Algorithm 2) ------------------------------------------
 
@@ -158,6 +192,51 @@ class ConfidentialModel:
                 "(rank mode has no per-record bins)"
             )
         return SwapFrame(self._integer_frames(), k, t)
+
+
+def _cluster_numerators(
+    frame, owner: np.ndarray, bins: np.ndarray, sizes: np.ndarray
+) -> np.ndarray:
+    """The numerator S of every cluster for one integer frame.
+
+    ``owner`` and ``bins`` give each member's cluster and bin; ``sizes``
+    the cluster sizes.  One sort of the (cluster, bin) keys yields every
+    cluster's distinct bins and their counts.
+    """
+    m = frame.m
+    keys, counts = np.unique(owner * m + bins, return_counts=True)
+    d_owner, d_bin = np.divmod(keys, m)
+    if isinstance(frame, NominalEMDFrame):
+        # Categories a cluster does not hold contribute c*counts[i] each,
+        # c*n in all; the ones it holds swap that for |n*C_i - c*counts[i]|.
+        c = sizes[d_owner]
+        held = frame.counts[d_bin]
+        terms = np.abs(frame.n * counts - c * held) - c * held
+        return sizes * frame.n + _sum_by(terms, d_owner, len(sizes))
+    # A cluster with distinct bins u_1 < ... < u_r holds r + 1 segments,
+    # [0, u_1), [u_1, u_2), ..., [u_r, m), on which its cumulative count is
+    # 0, C_1, C_1 + C_2, ..., c.  Distinct entry i of cluster g opens
+    # segment i + g + 1 and closes segment i + g.
+    n_seg = len(keys) + len(sizes)
+    shift = np.arange(len(keys)) + d_owner
+    starts = np.zeros(n_seg, dtype=np.int64)
+    starts[shift + 1] = d_bin
+    stops = np.full(n_seg, m, dtype=np.int64)
+    stops[shift] = d_bin
+    before = np.cumsum(sizes) - sizes  # members of earlier clusters
+    consts = np.zeros(n_seg, dtype=np.int64)
+    consts[shift + 1] = np.cumsum(counts) - before[d_owner]
+    seg_owner = np.zeros(n_seg, dtype=np.int64)
+    seg_owner[shift + 1] = d_owner
+    seg_owner[shift] = d_owner
+    terms = frame.segment_sums(starts, stops, consts, sizes[seg_owner])
+    return _sum_by(terms, seg_owner, len(sizes))
+
+
+def _sum_by(values: np.ndarray, groups: np.ndarray, n_groups: int) -> np.ndarray:
+    """Exact int64 sums of ``values`` per group (``groups`` ascending,
+    every group present)."""
+    return np.add.reduceat(values, np.searchsorted(groups, np.arange(n_groups)))
 
 
 #: c·n·m must stay below this for the integer arithmetic on a cluster of

@@ -63,7 +63,7 @@ def _pool_end(end: int, total: int) -> int:
     The refinement usually consumes a handful of pool records before the
     cluster reaches t, so the pool — the live records in stable
     (distance to the seed, id) order — is materialized in geometrically
-    growing prefixes (:meth:`ClusteringEngine.k_nearest_sorted`, bitwise
+    growing prefixes (:meth:`ClusteringEngine.k_nearest`, bitwise
     the matching slice of a full stable sort) rather than sorted whole.
     """
     return min(total, max(end + 64, 2 * end))
@@ -137,7 +137,7 @@ def _generate_cluster(
             return engine.alive_ids(), 0
         # One stable prefix gives the seed's k nearest records and the
         # first pool chunk after them.
-        prefix = engine.k_nearest_sorted(end, point=engine.row(seed_record))
+        prefix = engine.k_nearest(end, point=engine.row(seed_record))
         members = prefix[:k].copy()
         n_swaps = pool_consumed = 0
     else:
@@ -146,7 +146,7 @@ def _generate_cluster(
         pool_consumed = int(resume["meta"]["pool_consumed"])
         while end - k < pool_consumed and end < total:
             end = _pool_end(end, total)
-        prefix = engine.k_nearest_sorted(end, point=engine.row(seed_record))
+        prefix = engine.k_nearest(end, point=engine.row(seed_record))
     pool = prefix[k:]
 
     def cluster_state() -> dict:
@@ -177,7 +177,7 @@ def _generate_cluster(
                 progress.tick("alg2", base_units + n_swaps, cluster_state)
         elif end < total:
             end = _pool_end(end, total)
-            pool = engine.k_nearest_sorted(end)[k:]
+            pool = engine.k_nearest(end)[k:]
         else:
             break  # the pool ran dry above t
     return members, n_swaps

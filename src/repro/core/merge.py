@@ -18,8 +18,10 @@ Implementation notes — the phase runs on incremental state end to end:
 
 * every EMD decision is exact: a cluster's EMD is the rational
   :meth:`~repro.core.confidential.ConfidentialModel.emd_ratio` (integer
-  numerators over c·n·w, O(c log m) per ordered attribute), evaluated
-  once per initial cluster and once per merged cluster;
+  numerators over c·n·w, O(c log m) per ordered attribute), evaluated for
+  all initial clusters in one pass
+  (:meth:`~repro.core.confidential.ConfidentialModel.emd_ratios`) and
+  once per merged cluster;
 * the worst cluster is popped from a lazy-deletion heap keyed on those
   ratios, lowest cluster id first on exact ties — only the merged
   cluster's key changes per round, so re-selection is O(log G) instead of
@@ -241,7 +243,8 @@ def merge_to_t_closeness(
         rng.bit_generator.state = saved["meta"]["rng"]
     n_groups = len(members)
     n_alive = sum(m is not None for m in members)
-    ratios = [None if m is None else model.emd_ratio(m) for m in members]
+    fresh = iter(model.emd_ratios([m for m in members if m is not None]))
+    ratios = [None if m is None else next(fresh) for m in members]
 
     # Worst-cluster selection: lazy-deletion heap of (-float, exact, id)
     # keys, so the largest EMD pops first and exact ties pop the lowest

@@ -218,16 +218,16 @@ class OrderedEMDFrame(_IntegerFrame):
         self.weight = max(self.m - 1, 1)
 
     def segment_sums(
-        self, starts: np.ndarray, stops: np.ndarray, consts: np.ndarray, c: int
+        self, starts: np.ndarray, stops: np.ndarray, consts: np.ndarray, c
     ) -> np.ndarray:
         """Sum of ``|n*K - c*cum[i]|`` over each segment ``[start, stop)``.
 
-        ``consts`` holds the cluster's constant cumulative count K on each
-        segment, 1-D for one cluster or 2-D for several clusters sharing
-        one segment grid; the reduction runs over the last axis.  ``cum``
-        is non-decreasing, so the sign flips once per segment, at the
-        first bin with ``cum > n*K // c`` (exact: cum is an integer); both
-        halves are prefix-sum lookups.
+        ``consts`` holds a cluster's constant cumulative count K on each
+        segment and ``c`` its size, a scalar or an array per segment, so
+        one call can cover many clusters; a cluster's S is the total over
+        its segments.  ``cum`` is non-decreasing, so the sign flips once
+        per segment, at the first bin with ``cum > n*K // c`` (exact: cum
+        is an integer); both halves are prefix-sum lookups.
         """
         n_k = self.n * consts
         cross = np.clip(
@@ -236,7 +236,7 @@ class OrderedEMDFrame(_IntegerFrame):
         prefix = self.prefix
         below = n_k * (cross - starts) - c * (prefix[cross] - prefix[starts])
         above = c * (prefix[stops] - prefix[cross]) - n_k * (stops - cross)
-        return (below + above).sum(axis=-1)
+        return below + above
 
     def numerator(self, bins: np.ndarray) -> int:
         """S of the cluster whose members sit at ``bins``, in O(c log m)."""
@@ -244,7 +244,7 @@ class OrderedEMDFrame(_IntegerFrame):
         consts = np.concatenate([[0], np.cumsum(counts)])
         starts = np.concatenate([[0], uniq])
         stops = np.concatenate([uniq, [self.m]])
-        return int(self.segment_sums(starts, stops, consts, len(bins)))
+        return int(self.segment_sums(starts, stops, consts, len(bins)).sum())
 
     def tracker(self, member_bins: np.ndarray) -> "ClusterEMDTracker":
         """Incremental scorer of a cluster with members at ``member_bins``."""
@@ -333,7 +333,7 @@ class ClusterEMDTracker(_ClusterTracker):
         counts = np.searchsorted(self._sorted, starts, side="right")
         counts += add_bin <= starts
         consts = counts[None, :] - (remove_bins[:, None] <= starts[None, :])
-        return self.frame.segment_sums(starts, stops, consts, self.size)
+        return self.frame.segment_sums(starts, stops, consts, self.size).sum(axis=-1)
 
     def apply_swap(self, remove_bin: int, add_bin: int) -> None:
         """Commit the replacement of a member at ``remove_bin``."""

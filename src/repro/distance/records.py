@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
-# Re-exported for callers that block their own evaluations: the canonical
-# kernel and the block iterator live in repro.backend.kernels (shared with
-# the clustering engine and every compute backend).
-from ..backend.kernels import iter_blocks, sq_distances_block
+# Re-exported for callers that block their own evaluations or select their
+# own k nearest: the canonical kernel, the block iterator and the selection
+# rule live in repro.backend.kernels (shared with the clustering engine and
+# the compute backend).
+from ..backend.kernels import iter_blocks, k_smallest_indices, sq_distances_block
 from ..data.attributes import AttributeKind
 from ..data.dataset import Microdata
 
@@ -126,25 +127,10 @@ def nearest_index(X: np.ndarray, x: np.ndarray) -> int:
     return int(np.argmin(sq_distances_to(X, x)))
 
 
-def k_smallest_indices(d2: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the ``k`` smallest entries of ``d2``, smallest first.
-
-    This is the one selection primitive every partitioner's "k nearest"
-    step reduces to; the clustering engine
-    (:class:`repro.microagg.engine.ClusteringEngine`) calls it on masked
-    distance buffers so that engine-backed partitions inherit exactly the
-    same selection and tie-breaking behaviour as the direct implementations.
-    """
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
-    if k >= len(d2):
-        return np.argsort(d2, kind="stable")
-    part = np.argpartition(d2, k - 1)[:k]
-    return part[np.argsort(d2[part], kind="stable")]
-
-
 def k_nearest_indices(X: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the ``k`` rows of ``X`` nearest to ``x``, nearest first."""
+    """Indices of the ``k`` rows of ``X`` nearest to ``x``, ascending by
+    (distance, index): :func:`k_smallest_indices` on the canonical
+    distances."""
     return k_smallest_indices(sq_distances_to(X, x), k)
 
 

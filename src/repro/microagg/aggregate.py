@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ..data.attributes import AttributeKind, AttributeSpec
 from ..data.dataset import Microdata
-from .centroids import centroid_value
 from .partition import Partition
 
 
@@ -70,6 +70,12 @@ def cluster_centroids(
     Row ``g`` holds cluster ``g``'s representative for each requested column
     (categorical columns as codes).  Useful for reporting and for distance
     computations between clusters (Algorithm 1's merge step).
+
+    Clusters of one size are evaluated together, as one ``(clusters,
+    size)`` member matrix per column, so the cost is a few numpy calls per
+    distinct size instead of one per (cluster, column); every value is
+    bitwise :func:`~repro.microagg.centroids.centroid_value` of its
+    cluster.
     """
     if partition.n_records != data.n_records:
         raise ValueError(
@@ -81,10 +87,31 @@ def cluster_centroids(
     names = tuple(names)
     if not names:
         raise ValueError("no columns requested")
+    columns = [(data.values(name), data.spec(name)) for name in names]
     out = np.empty((partition.n_clusters, len(names)), dtype=np.float64)
-    for j, name in enumerate(names):
-        spec = data.spec(name)
-        column = data.values(name)
-        for g, members in enumerate(partition.clusters()):
-            out[g, j] = centroid_value(column[members], spec)
+    sizes = partition.sizes()
+    order = np.argsort(partition.labels, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    for size in np.unique(sizes):
+        # The members of every cluster of this size, one row per cluster,
+        # in ascending record order (the order of Partition.clusters()).
+        groups = np.flatnonzero(sizes == size)
+        rows = order[starts[groups, None] + np.arange(size)]
+        for j, (column, spec) in enumerate(columns):
+            out[groups, j] = _centroid_rows(column[rows], spec)
     return out
+
+
+def _centroid_rows(values: np.ndarray, spec: AttributeSpec) -> np.ndarray:
+    """:func:`~repro.microagg.centroids.centroid_value` of every row of a
+    ``(clusters, size)`` matrix, bitwise: the row mean (numpy reduces each
+    contiguous row as it reduces a 1-D array), the lower median of the
+    sorted row, or the lowest most frequent code."""
+    if spec.kind is AttributeKind.NUMERIC:
+        return values.astype(np.float64).mean(axis=1)
+    if spec.kind is AttributeKind.ORDINAL:
+        return np.sort(values, axis=1)[:, (values.shape[1] - 1) // 2]
+    width = max(spec.n_categories, int(values.max()) + 1)
+    keys = values + width * np.arange(len(values))[:, None]
+    counts = np.bincount(keys.ravel(), minlength=width * len(values))
+    return counts.reshape(len(values), width).argmax(axis=1)

@@ -16,11 +16,12 @@ primitives without per-round copies:
   buffer through a single preallocated column scratch (no n x d temporary,
   no per-round allocation); the arithmetic is the library's canonical
   kernel (:func:`repro.distance.records.sq_distances_to`'s column-
-  sequential accumulation), built from elementwise ufuncs only, so every
-  record gets the bitwise-same distance the direct implementations compute
-  — exact ties between distinct records (ubiquitous in categorical/integer
-  data) stay exact ties.  Assigned records are masked out of selections
-  with sentinel values rather than removed;
+  sequential accumulation, compiled with FP contraction off when the host
+  has a C compiler), so every record gets the bitwise-same distance the
+  direct implementations compute — exact ties between distinct records
+  (ubiquitous in categorical/integer data) stay exact ties.  Assigned
+  records are masked out of selections with sentinel values rather than
+  removed;
 * **incremental centroid** — the coordinate sum of unassigned records is
   maintained by subtracting each assigned cluster, giving an O(d)
   :meth:`~ClusteringEngine.centroid_fast`; the default
@@ -32,9 +33,12 @@ primitives without per-round copies:
   (ascending record order preserved), so per-round work tracks the number
   of unassigned records like the copying implementations did, without their
   per-round copies;
-* **k-nearest selection** — :func:`repro.distance.records.k_smallest_indices`
-  applied to the compacted live distances, i.e. *the identical selection
-  and tie-breaking code path* as the direct implementations.
+* **k-nearest selection** — one pass over the distance buffer
+  (:func:`repro.backend.kernels.k_nearest_live`, compiled when the host
+  has a C compiler) keeps the k live records with the smallest
+  (distance, id), in that order — the rule of
+  :func:`repro.distance.records.k_smallest_indices`, with no gather of
+  the live distances.
 
 Equivalence contract
 --------------------
@@ -44,13 +48,16 @@ partitions to the reference implementations, including tie-breaking:
 distances use the canonical ``sq_distances_to`` arithmetic row-for-row,
 the centroid is the reference's own gather-and-mean, all selections see
 live records in ascending record order (exactly the reference code's
-``remaining`` arrays), and k-nearest selection runs the shared
-``k_smallest_indices`` on the compacted live distances — the very array
-the reference code built — so even ``argpartition``'s behaviour on
-boundary ties is reproduced.  The golden fixtures (continuous, mixed,
-integer-grid, categorical-only, univariate and duplicate-heavy datasets)
-pin this down empirically; :meth:`ClusteringEngine.centroid_fast` is the
-one opt-out, trading that guarantee for an O(d) centroid.
+``remaining`` arrays), argmin/argmax take the lowest id on exact ties, and
+k-nearest selection takes the k records with the smallest (distance, id)
+— ``np.lexsort((ids, d2))[:k]`` over the reference's ``X[remaining]``,
+the same on every host.  The golden
+fixtures (continuous, mixed, integer-grid, categorical-only, univariate
+and duplicate-heavy datasets) pin this down empirically, and
+``tests/microagg/test_mdav_reference.py`` checks MDAV and V-MDAV against
+a brute-force reference on that rule;
+:meth:`ClusteringEngine.centroid_fast` is the one opt-out, trading that
+guarantee for an O(d) centroid.
 
 One caveat for archaeologists: "reference" means the seed *algorithms*
 running on today's canonical ``sq_distances_to`` (the fixtures were
@@ -61,13 +68,16 @@ in the last ulp, which on near-tie data can place a record differently
 than a pre-canonicalization run on some particular numpy build would
 have.  Exact ties and tie-breaking rules — the reproducible part — are
 identical, and on integer-valued data (where every kernel is exact) so
-are whole partitions.
+are whole partitions.  (The k-nearest rule changed once: the seed left
+boundary ties to ``argpartition``; the partitions that choice moved are
+listed in ``scripts/generate_engine_golden.py``.)
 
 Distance evaluations are delegated to the engine's compute backend
 (:meth:`repro.backend.SerialBackend.eval_sq_distances`), called on the
 instance the engine was given so a substituted backend sees every
-evaluation; selections (masked argmin/argmax, the k-nearest bound) are
-plain numpy calls on the distance buffer.
+evaluation, one call per evaluation; the k-nearest selection runs
+:func:`~repro.backend.kernels.k_nearest_live` and the other selections
+(masked argmin/argmax) are plain numpy calls on the distance buffer.
 """
 
 from __future__ import annotations
@@ -75,7 +85,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..backend import SerialBackend, resolve_backend
-from ..distance.records import k_smallest_indices, sq_distances_to
+from ..backend.kernels import k_nearest_live
+from ..distance.records import sq_distances_to
 
 #: Below this many dead rows, compaction is skipped (not worth the copy).
 _MIN_COMPACT_GAP = 32
@@ -96,11 +107,6 @@ class ClusteringEngine:
         engine; callers that cache window positions across calls
         (Algorithm 3's bucket bookkeeping) instead watch
         :attr:`n_compactions` and refresh on change.
-    chunk_size:
-        Optional row-block size for the distance kernel, for cache-blocking
-        very large windows.  ``None`` (default) sweeps each column over the
-        whole window.  The kernel is elementwise, so results are bitwise
-        identical for every block size.
     backend:
         Compute backend whose ``eval_sq_distances`` fills the distance
         buffer: ``"serial"``, a :class:`~repro.backend.SerialBackend`
@@ -112,7 +118,6 @@ class ClusteringEngine:
         X: np.ndarray,
         *,
         compact_ratio: float | None = 0.7,
-        chunk_size: int | None = None,
         backend: SerialBackend | str | None = None,
     ) -> None:
         X = np.ascontiguousarray(X, dtype=np.float64)
@@ -124,8 +129,6 @@ class ClusteringEngine:
             raise ValueError(
                 f"compact_ratio must be in (0, 1] or None, got {compact_ratio}"
             )
-        if chunk_size is not None and chunk_size <= 0:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
         n = X.shape[0]
         self._X = X  # original rows, addressed by record id
         self._backend = resolve_backend(backend)
@@ -143,7 +146,6 @@ class ClusteringEngine:
         self._d2 = np.empty(n)  # distance buffer, window layout
         self._tmp = np.empty(n)  # per-column difference scratch
         self._ratio = compact_ratio
-        self._chunk = chunk_size
         self._dead_pos = np.empty(n, dtype=np.int64)  # kills since compaction
         self._n_dead = 0
         self._X_owned = False  # _X may alias caller data until replace_row
@@ -260,9 +262,7 @@ class ClusteringEngine:
             self._d2[:m] = 0.0
             self._n_evals += 1
             return self._d2[:m]
-        self._backend.eval_sq_distances(
-            self._XwT, p, self._d2, self._tmp, m, self._chunk
-        )
+        self._backend.eval_sq_distances(self._XwT, p, self._d2, self._tmp, m)
         self._n_evals += 1
         return self._d2[:m]
 
@@ -348,53 +348,20 @@ class ClusteringEngine:
         return int(self._ids[pos]), float(d2[pos])
 
     def k_nearest(self, k: int, point: np.ndarray | None = None) -> np.ndarray:
-        """Ids of the ``k`` live records nearest to ``point``, nearest first.
+        """Ids of the ``k`` live records with the smallest (distance, id),
+        in that order; every live record when ``k >= n_alive``.
 
-        Runs :func:`~repro.distance.records.k_smallest_indices` on the
-        compacted live distances — the records in ascending id order,
-        exactly the array the reference implementations passed to
-        ``k_nearest_indices`` — so selection and tie-breaking (including
-        ``argpartition``'s behaviour on boundary ties) are identical.
+        One pass over the distance buffer
+        (:func:`~repro.backend.kernels.k_nearest_live`): window positions
+        ascend with record ids, so the (distance, position) order is the
+        (distance, id) order, and the result is the ``k``-prefix of a
+        stable sort of the live records by distance — which lets
+        Algorithm 2 take a seed's cluster and the first pool chunk after it
+        without sorting a pool it usually never consumes.
         """
         if point is not None:
             self.eval_distances(point)
-        m = self._m
-        live = np.flatnonzero(self._alive[:m])
-        local = k_smallest_indices(self._d2[live], k)
-        return self._ids[live[local]]
-
-    def sorted_alive(self, point: np.ndarray | None = None) -> np.ndarray:
-        """All live record ids, sorted ascending by (distance, id)."""
-        if point is not None:
-            self.eval_distances(point)
-        d2 = self._masked(np.inf)
-        order = np.argsort(d2, kind="stable")[: self._n_alive]
-        return self._ids[order]
-
-    def k_nearest_sorted(self, k: int, point: np.ndarray | None = None) -> np.ndarray:
-        """``sorted_alive(point)[:k]`` — bitwise — at argpartition cost.
-
-        Returns the k nearest live records ordered ascending by
-        (distance, id), exactly the prefix a full stable argsort would
-        produce, but in O(window + k log k) instead of O(window log window):
-        an argpartition bounds the k-th smallest distance, every record at
-        or below that bound is gathered (so boundary ties are all present),
-        and only those are stably sorted.  Stability plus the window's
-        ascending-id layout makes the tie order identical to
-        :meth:`sorted_alive`'s.  This is what lets Algorithm 2 seed a
-        cluster without sorting the whole candidate pool it usually never
-        consumes (the pool is materialized lazily, only when the seed
-        cluster's EMD overshoots t).
-        """
-        if point is not None:
-            self.eval_distances(point)
-        if k >= self._n_alive:
-            return self.sorted_alive()
-        d2 = self._masked(np.inf)
-        bound = d2[np.argpartition(d2, k - 1)[:k]].max()
-        cand = np.flatnonzero(d2 <= bound)
-        order = np.argsort(d2[cand], kind="stable")[:k]
-        return self._ids[cand[order]]
+        return self._ids[k_nearest_live(self._d2, self._alive, self._m, k)]
 
     # -- state updates ---------------------------------------------------------
 

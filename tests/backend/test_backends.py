@@ -8,9 +8,9 @@ Two kinds of guarantees are pinned here:
 * **primitive equivalence** — ``eval_sq_distances`` fills the same buffer
   bitwise for every ``chunk_size`` (integer ties included),
   ``assign_nearest`` keeps the lowest-id tie rule and validates its input,
-  and the engine's masked selections (farthest, nearest, the k-nearest
-  bound) pick exactly what argmax/argmin/a stable sort over the reference
-  distances pick, including on adversarial all-ties inputs.
+  and the engine's masked selections (farthest, nearest, k nearest) pick
+  exactly what argmax/argmin/a stable sort over the reference distances
+  pick, including on adversarial all-ties inputs.
 
 The third primitive, ``refine_swaps``, has its own suite
 (``test_refine_kernel.py``).
@@ -161,8 +161,8 @@ class TestPrimitiveEquivalence:
             check_selections(values, dead)
 
     def test_kth_smallest_value(self):
-        """The argpartition bound behind ``k_nearest_sorted`` keeps every
-        boundary tie: its prefix is the stable (distance, id) sort's."""
+        """The engine's k-nearest selection keeps every boundary tie: its
+        result is the prefix of the stable (distance, id) sort."""
         rng = np.random.default_rng(3)
         for _ in range(100):
             n = int(rng.integers(2, 300))
@@ -174,7 +174,7 @@ class TestPrimitiveEquivalence:
             k = int(rng.integers(1, live.size + 1))
             order = np.lexsort((live, sq_distances_to(X[live], point)))
             np.testing.assert_array_equal(
-                engine.k_nearest_sorted(k, point), live[order[:k]]
+                engine.k_nearest(k, point), live[order[:k]]
             )
 
     def test_assign_nearest_identical_and_tie_rule(self):

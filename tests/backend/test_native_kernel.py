@@ -1,4 +1,4 @@
-"""Compiled kd query == canonical numpy kernel, bitwise.
+"""Compiled kd query and engine scans == their numpy specs, bitwise.
 
 ``repro.backend._native`` builds a C kd-tree search over a
 ``kernels.NearestIndex`` with FP contraction disabled; its whole value
@@ -8,7 +8,12 @@ any row blocking and any tree shape.  This suite is the differential
 proof — from single-leaf indices (the brute scan) to trees forced down
 to one representative per leaf — and it also pins the degrade paths: the
 env kill-switch, and the dtype/contiguity guards that route unusual
-buffers back to the numpy body.
+buffers back to the numpy body.  The same goes for the clustering
+engine's distance scan (``kernels.sq_distances_block``) and its k-nearest
+selection (``kernels._k_nearest_live_numpy``, the lowest (distance,
+position) first): dead rows, duplicate rows, half-integer grids, k = 1
+to past the live count, windows shorter than the buffer, and the
+load-time self-check rejecting a scan or a selection that is off.
 
 When the host has no usable compiler the fast-path tests skip (the
 fallback behaviour and index-build tests still run): the library must
@@ -22,6 +27,7 @@ import numpy as np
 import pytest
 
 from repro.backend import SerialBackend, _native, kernels
+from repro.microagg import ClusteringEngine
 
 from ..contexts import CONTEXTS
 
@@ -388,6 +394,102 @@ def test_threaded_shards_share_one_index():
             np.testing.assert_array_equal(assignment, a_ref[rows])
 
 
+def kernels_distances(X, point):
+    """The numpy kernel's squared distances from ``point`` to every row."""
+    n = len(X)
+    out, tmp = np.empty(n), np.empty(n)
+    kernels.sq_distances_block(np.ascontiguousarray(X.T), point, out, tmp, 0, n)
+    return out
+
+
+def lowest_id_selection(d2, alive, m, k):
+    """Brute force: the live positions below ``m`` by (d2, position)."""
+    live = np.flatnonzero(alive[:m])
+    return live[np.lexsort((live, d2[live]))[:k]]
+
+
+@native_only
+class TestEngineScans:
+    """The clustering engine's two compiled scans against their specs."""
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_distance_scan_is_the_numpy_kernel(self, d):
+        rng = np.random.default_rng(40 + d)
+        cols = half_grid(rng, (d, 500))
+        cols[:, 300:340] = cols[:, 11:12]  # duplicate rows
+        scan = _native.load().sq_distances
+        for n in (500, 377, 1, 0):  # windows shorter than the buffer
+            for point in (cols[:, 11].copy(), half_grid(rng, d)):
+                want, tmp = np.full(500, -1.0), np.empty(500)
+                kernels.sq_distances_block(cols, point, want, tmp, 0, n)
+                got = np.full(500, -1.0)
+                assert scan(cols, point, got, n)
+                np.testing.assert_array_equal(got, want)
+
+    def test_distance_scan_through_the_backend_and_engine(self):
+        rng = np.random.default_rng(45)
+        X = half_grid(rng, (300, 3))
+        X[200:] = X[:100]
+        engine = ClusteringEngine(X)
+        engine.kill(np.arange(0, 300, 3))
+        engine.kill(np.arange(1, 300, 3)[:60])  # compacts: window < buffer
+        assert engine.window < 300
+        live = engine.alive_ids()
+        d2 = engine.eval_distances(X[7])
+        np.testing.assert_array_equal(
+            d2[engine.positions_of(live)], kernels_distances(X[live], X[7])
+        )
+
+    def test_unsupported_layouts_fall_back(self):
+        rng = np.random.default_rng(46)
+        X = half_grid(rng, (64, 3))
+        scan = _native.load().sq_distances
+        out = np.empty(64)
+        assert not scan(X.T, X[0], out, 64)  # rows, not columns, contiguous
+        assert not scan(X.T.copy(), X[0].astype(np.float32), out, 64)
+        assert not scan(X.T.copy(), X[0], out, 65)  # past the buffer
+        assert not scan(X.T.copy(), np.empty(0), out, 64)
+        backend_out = np.empty(64)
+        SerialBackend().eval_sq_distances(X.T, X[0], backend_out, np.empty(64), 64)
+        np.testing.assert_array_equal(backend_out, kernels_distances(X, X[0]))
+
+    def test_selection_equals_the_spec_on_ties(self):
+        rng = np.random.default_rng(47)
+        select = _native.load().k_nearest
+        for trial in range(200):
+            size = int(rng.integers(1, 400))
+            if trial % 2:
+                d2 = rng.integers(0, 3, size).astype(np.float64)  # dense ties
+            else:
+                d2 = np.round(rng.standard_normal(size) * 2.0) ** 2 / 4.0
+            alive = rng.random(size) < rng.uniform(0.2, 1.0)
+            m = int(rng.integers(0, size + 1))
+            live = int(alive[:m].sum())
+            for k in {1, 2, max(live - 1, 1), max(live, 1), live + 5}:
+                want = kernels._k_nearest_live_numpy(d2, alive, m, k)
+                np.testing.assert_array_equal(want, lowest_id_selection(d2, alive, m, k))
+                np.testing.assert_array_equal(select(d2, alive, m, k), want)
+
+    def test_selection_edge_cases(self):
+        select = _native.load().k_nearest
+        d2 = np.array([np.inf, 1.0, np.inf, 0.0, 1.0, np.inf])
+        alive = np.array([True, True, False, True, True, True])
+        np.testing.assert_array_equal(select(d2, alive, 6, 4), [3, 1, 4, 0])
+        np.testing.assert_array_equal(select(d2, alive, 6, 9), [3, 1, 4, 0, 5])
+        np.testing.assert_array_equal(select(d2, np.zeros(6, bool), 6, 3), [])
+        np.testing.assert_array_equal(select(d2, alive, 0, 3), [])
+        # NaN among the first k live distances: the kernel declines, and the
+        # dispatcher's spec sorts NaN last, as np.argsort does.
+        d2[1] = np.nan
+        assert select(d2, alive, 6, 2) is None
+        np.testing.assert_array_equal(kernels.k_nearest_live(d2, alive, 6, 3), [3, 4, 0])
+        np.testing.assert_array_equal(select(d2, alive, 6, 1), [3])  # after the fill
+        assert select(d2.astype(np.float32), alive, 6, 1) is None
+        assert select(d2, alive.astype(np.int8), 6, 1) is None
+        with pytest.raises(ValueError, match="positive"):
+            kernels.k_nearest_live(d2, alive, 6, 0)
+
+
 @native_only
 class TestSelfCheck:
     def test_load_is_memoized(self):
@@ -425,3 +527,24 @@ class TestSelfCheck:
                         best_d2[i], assignment[i] = d2, index.ids[p]
 
         assert not _native._self_check(_native.load()._replace(kd_nearest=broken))
+
+    def test_self_check_rejects_a_selection_breaking_ties_upward(self):
+        # Equal distances must go to the lower position; a selection that
+        # prefers the higher one (a stable sort of the reversed buffer)
+        # must be rejected at load.
+        def upward(d2, alive, m, k):
+            live = np.flatnonzero(alive[:m])[::-1]
+            return live[np.argsort(d2[live], kind="stable")[:k]]
+
+        assert not _native._self_check(_native.load()._replace(k_nearest=upward))
+
+    def test_self_check_rejects_a_contracted_distance_scan(self):
+        # One fused-looking rounding difference in the last column is enough.
+        real = _native.load().sq_distances
+
+        def off_by_an_ulp(cols, point, out, n):
+            real(cols, point, out, n)
+            out[:n] = np.nextafter(out[:n], np.inf)
+            return True
+
+        assert not _native._self_check(_native.load()._replace(sq_distances=off_by_an_ulp))

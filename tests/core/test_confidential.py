@@ -9,6 +9,7 @@ from repro.core import ConfidentialModel
 from repro.core.confidential import check_exact_bound
 from repro.distance import NominalEMDFrame
 from repro.data import AttributeRole, Microdata, nominal, numeric, ordinal
+from repro.microagg import Partition
 from repro.distance import OrderedEMDReference, emd_nominal
 
 
@@ -152,6 +153,75 @@ def exact_emd(frame, tracker, c) -> Fraction:
     """The tracker set's score as the cluster EMD: score / (c*n*W)."""
     common = frame.scales[0] * frame.frames[0].weight
     return Fraction(tracker.score, c * frame.n * common)
+
+
+class TestEmdRatios:
+    """``emd_ratios`` is ``emd_ratio`` per cluster, in one pass."""
+
+    @staticmethod
+    def tables(rng):
+        n = int(rng.integers(2, 90))
+        qi = numeric("qi", role=AttributeRole.QUASI_IDENTIFIER)
+        dup = rng.integers(0, max(2, n // 4), size=n).astype(float)  # shared bins
+        disease = rng.integers(0, 3, size=n)
+        yield "ordered", Microdata(
+            {"qi": np.zeros(n), "x": dup},
+            [qi, numeric("x", role=AttributeRole.CONFIDENTIAL)],
+        )
+        yield "nominal", Microdata(
+            {"qi": np.zeros(n), "d": disease},
+            [qi, nominal("d", ("a", "b", "c"), role=AttributeRole.CONFIDENTIAL)],
+        )
+        yield "two attributes", Microdata(
+            {"qi": np.zeros(n), "x": dup, "d": disease},
+            [
+                qi,
+                numeric("x", role=AttributeRole.CONFIDENTIAL),
+                nominal("d", ("a", "b", "c"), role=AttributeRole.CONFIDENTIAL),
+            ],
+        )
+        yield "one bin", Microdata(
+            {"qi": np.zeros(n), "flat": np.full(n, 3.0), "x": dup},
+            [
+                qi,
+                numeric("flat", role=AttributeRole.CONFIDENTIAL),
+                numeric("x", role=AttributeRole.CONFIDENTIAL),
+            ],
+        )
+
+    @staticmethod
+    def clusters(rng, n):
+        """Singletons, small clusters and a few large merged ones."""
+        labels = rng.integers(0, max(1, n // 3), size=n)
+        labels[rng.random(n) < 0.2] = rng.integers(0, 3)  # merged: large
+        singles = rng.random(n) < 0.15
+        labels[singles] = n + np.arange(singles.sum())  # singletons
+        return list(Partition(labels).clusters())
+
+    def test_equals_emd_ratio_per_cluster(self):
+        rng = np.random.default_rng(30)
+        for _ in range(40):
+            for kind, data in self.tables(rng):
+                model = ConfidentialModel(data)
+                clusters = self.clusters(rng, data.n_records)
+                want = [model.emd_ratio(members) for members in clusters]
+                assert model.emd_ratios(clusters) == want, kind
+
+    def test_partition_emds_round_the_same_ratios(self, mixed_conf_data):
+        model = ConfidentialModel(mixed_conf_data)
+        clusters = np.array_split(np.random.default_rng(3).permutation(30), 7)
+        np.testing.assert_array_equal(
+            model.partition_emds(clusters),
+            [num / den for num, den in map(model.emd_ratio, clusters)],
+        )
+
+    def test_rank_mode_and_validation(self, numeric_data):
+        model = ConfidentialModel(numeric_data, emd_mode="rank")
+        clusters = np.array_split(np.arange(40), 6)
+        assert model.emd_ratios(clusters) == list(map(model.emd_ratio, clusters))
+        assert model.emd_ratios([]) == []
+        with pytest.raises(ValueError, match="non-empty"):
+            model.emd_ratios([np.arange(3), np.arange(0)])
 
 
 class TestClusterTrackerSet:

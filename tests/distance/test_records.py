@@ -93,6 +93,17 @@ class TestSelectors:
     def test_k_nearest_stable_on_ties(self):
         X = np.array([[1.0], [1.0], [1.0]])
         np.testing.assert_array_equal(k_nearest_indices(X, np.array([1.0]), 2), [0, 1])
+        # Values in {0, 1, 2} queried at 0 tie at the k-th distance many
+        # ways; the lowest indices win, whatever argpartition's tie order.
+        rng = np.random.default_rng(13)
+        for _ in range(60):
+            n = int(rng.integers(30, 300))
+            X = rng.integers(0, 3, size=(n, 1)).astype(float)
+            k = int(rng.integers(1, n + 1))
+            order = np.lexsort((np.arange(n), X[:, 0] ** 2))
+            np.testing.assert_array_equal(
+                k_nearest_indices(X, np.zeros(1), k), order[:k]
+            )
 
 
 class TestEncodeMixed:

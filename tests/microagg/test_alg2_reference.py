@@ -29,7 +29,7 @@ from repro.backend import _native
 from repro.core.confidential import ConfidentialModel
 from repro.core.kanon_first import kanonymity_first
 from repro.distance.emd import NominalEMDReference
-from repro.distance.records import encode_mixed
+from repro.distance.records import encode_mixed, sq_distances_to
 from repro.microagg.engine import ClusteringEngine
 from repro.microagg.partition import Partition
 
@@ -67,14 +67,18 @@ def reference_kanon_first(data, k: int, t: float) -> tuple[np.ndarray, int]:
     """Partition labels and swap count of Algorithm 2, brute force."""
     columns = _columns(data)
     limit = Fraction(t)
-    engine = ClusteringEngine(encode_mixed(data, data.quasi_identifiers))
+    X = encode_mixed(data, data.quasi_identifiers)
+    engine = ClusteringEngine(X)
     clusters, n_swaps, parity = [], 0, 0
     while engine.n_alive:
         seed = engine.farthest_from_centroid() if parity == 0 else engine.farthest()
         if engine.n_alive < 2 * k:
             members = engine.alive_ids()
         else:
-            order = engine.sorted_alive(engine.row(seed))
+            # The next cluster seeds from the engine's buffer (farthest()).
+            engine.eval_distances(X[seed])
+            alive = engine.alive_ids()
+            order = alive[np.lexsort((alive, sq_distances_to(X[alive], X[seed])))]
             members = order[:k].copy()
             current = _dense_emd(columns, members)
             for y in order[k:]:

@@ -158,3 +158,31 @@ class TestClusterCentroids:
             cluster_centroids(dataset, Partition([0]))
         with pytest.raises(ValueError, match="no columns"):
             cluster_centroids(dataset, Partition([0, 0, 1, 1]), names=[])
+
+    def test_equals_centroid_value_per_cluster_bitwise(self):
+        # One cluster of every size 1..300 (plus a second of a few sizes,
+        # so clusters of one size share a member matrix), shuffled over
+        # the records; each representative must be exactly what
+        # centroid_value computes on the cluster's own members.
+        rng = np.random.default_rng(21)
+        sizes = np.concatenate([np.arange(1, 301), [5, 5, 64, 129, 300]])
+        labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        n = labels.size
+        data = Microdata(
+            {
+                "a": 30_000.0 * np.exp(rng.standard_normal(n)),
+                "o": rng.integers(0, 7, size=n),
+                "c": rng.integers(0, 4, size=n),
+            },
+            [
+                numeric("a", role=AttributeRole.QUASI_IDENTIFIER),
+                ordinal("o", tuple("abcdefg"), role=AttributeRole.QUASI_IDENTIFIER),
+                nominal("c", tuple("wxyz"), role=AttributeRole.QUASI_IDENTIFIER),
+            ],
+        )
+        partition = Partition(labels)
+        table = cluster_centroids(data, partition)
+        for g, members in enumerate(partition.clusters()):
+            for j, name in enumerate(("a", "o", "c")):
+                want = centroid_value(data.values(name)[members], data.spec(name))
+                assert table[g, j] == want, (g, name)

@@ -10,6 +10,7 @@ oracles.
 import numpy as np
 import pytest
 
+from repro.backend import SerialBackend
 from repro.distance.records import (
     k_nearest_indices,
     pairwise_sq_distances,
@@ -35,8 +36,8 @@ class TestValidation:
         X = np.zeros((4, 2))
         with pytest.raises(ValueError, match="compact_ratio"):
             ClusteringEngine(X, compact_ratio=1.5)
-        with pytest.raises(ValueError, match="chunk_size"):
-            ClusteringEngine(X, chunk_size=0)
+        with pytest.raises(TypeError, match="chunk_size"):
+            ClusteringEngine(X, chunk_size=16)  # the compiled scan has no knob
 
     def test_kill_dead_record_raises(self):
         _, engine = make_engine()
@@ -97,7 +98,7 @@ class TestSelections:
 
     def test_sorted_alive_orders_by_distance_then_id(self):
         X, engine = make_engine()
-        ids = engine.sorted_alive(point=X[3])
+        ids = engine.k_nearest(engine.n_alive, point=X[3])
         d2 = sq_distances_to(X, X[3])
         expected = np.argsort(d2, kind="stable")
         np.testing.assert_array_equal(ids, expected)
@@ -111,6 +112,22 @@ class TestSelections:
         np.testing.assert_array_equal(
             engine.k_nearest(3, point=np.zeros(2)), [0, 1, 3]
         )
+        # Values in {0, 1, 2} queried at 0: the k-th distance is tied many
+        # ways, and argpartition's tie order (which follows numpy's SIMD
+        # dispatch) picked other ids in over half of these cases.
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            n = int(rng.integers(30, 300))
+            X = rng.integers(0, 3, size=(n, 1)).astype(float)
+            engine = ClusteringEngine(X)
+            dead = rng.choice(n, size=int(rng.integers(0, n // 2)), replace=False)
+            engine.kill(dead)
+            live = engine.alive_ids()
+            k = int(rng.integers(1, live.size + 1))
+            order = np.lexsort((live, X[live, 0] ** 2))
+            np.testing.assert_array_equal(
+                engine.k_nearest(k, point=np.zeros(1)), live[order[:k]]
+            )
 
     def test_buffer_reuse_after_kill_sees_fresh_mask(self):
         X, engine = make_engine()
@@ -189,14 +206,11 @@ class TestStateMaintenance:
     def test_chunked_evaluation_is_bitwise_identical(self):
         # The kernel is row-wise, so the block layout cannot change results.
         X, whole = make_engine(n=97, seed=5)
-        _, chunked = make_engine(n=97, seed=5, chunk_size=16)
         p = X[13]
-        np.testing.assert_array_equal(
-            whole.eval_distances(p), chunked.eval_distances(p)
-        )
-        np.testing.assert_array_equal(
-            whole.eval_distances(p), sq_distances_to(X, p)
-        )
+        chunked = np.empty(97)
+        SerialBackend().eval_sq_distances(X.T.copy(), p, chunked, np.empty(97), 97, 16)
+        np.testing.assert_array_equal(whole.eval_distances(p), chunked)
+        np.testing.assert_array_equal(chunked, sq_distances_to(X, p))
 
     def test_positions_survive_until_compaction(self):
         X, engine = make_engine(n=64, compact_ratio=0.5)
@@ -223,35 +237,42 @@ class TestChunkedPairwise:
             pairwise_sq_distances(np.zeros((4, 2)), chunk_size=-1)
 
 
+def stable_order(X, ids, point):
+    """``ids`` sorted by (canonical distance to ``point``, id)."""
+    return ids[np.lexsort((ids, sq_distances_to(X[ids], point)))]
+
+
 class TestKNearestSorted:
+    """``k_nearest`` is the k-prefix of the stable (distance, id) sort."""
+
     def test_matches_sorted_alive_prefix_bitwise(self):
         X, engine = make_engine(n=120, d=2, seed=7)
         engine.eval_distances(X[3])
-        full = engine.sorted_alive()
+        full = stable_order(X, np.arange(120), X[3])
         for k in (1, 5, 40, 119, 120, 500):
-            np.testing.assert_array_equal(
-                engine.k_nearest_sorted(k), full[:k]
-            )
+            np.testing.assert_array_equal(engine.k_nearest(k), full[:k])
 
     def test_boundary_ties_match_stable_order(self):
         # Duplicate rows create exact zero-distance and boundary ties; the
-        # argpartition shortcut must reproduce the stable (distance, id)
-        # order of the full argsort, including ties at the k-th value.
+        # selection must reproduce the stable (distance, id) order of the
+        # full sort, including ties at the k-th value.
         rng = np.random.default_rng(11)
         X = rng.integers(0, 3, size=(90, 2)).astype(float)
         engine = ClusteringEngine(X)
         engine.eval_distances(X[0])
-        full = engine.sorted_alive()
+        full = stable_order(X, np.arange(90), X[0])
         for k in (1, 4, 17, 50, 89):
-            np.testing.assert_array_equal(engine.k_nearest_sorted(k), full[:k])
+            np.testing.assert_array_equal(engine.k_nearest(k), full[:k])
 
     def test_respects_kills(self):
         X, engine = make_engine(n=40, d=2, seed=3)
         engine.eval_distances(X[0])
-        engine.kill(engine.k_nearest_sorted(5))
-        rest = engine.k_nearest_sorted(35)
+        engine.kill(engine.k_nearest(5))
+        rest = engine.k_nearest(35)
         assert rest.size == 35
-        np.testing.assert_array_equal(rest, engine.sorted_alive())
+        np.testing.assert_array_equal(
+            rest, stable_order(X, engine.alive_ids(), X[0])
+        )
 
 
 class TestReplaceRow:
