@@ -18,10 +18,18 @@ Implementation notes — the phase runs on incremental state end to end:
 
 * every EMD decision is exact: a cluster's EMD is the rational
   :meth:`~repro.core.confidential.ConfidentialModel.emd_ratio` (integer
-  numerators over c·n·w, O(c log m) per ordered attribute), evaluated for
-  all initial clusters in one pass
+  numerators over c·n·w), evaluated for all initial clusters in one pass
   (:meth:`~repro.core.confidential.ConfidentialModel.emd_ratios`) and
   once per merged cluster;
+* a merged cluster's numerator per ordered attribute is one sort of its
+  member bins and one
+  :meth:`~repro.distance.OrderedEMDFrame.sorted_numerator` call, a single
+  segment evaluation over the c + 1 segments the sorted bins cut, with no
+  ``np.unique``.  The ``lowest-emd`` policy scores a round's candidate
+  merges with
+  :meth:`~repro.core.confidential.ConfidentialModel.emd_ratios`, a few
+  calls of at most :data:`LOWEST_EMD_BATCH` member ids each, instead of
+  one ``emd_ratio`` per candidate;
 * the worst cluster is popped from a lazy-deletion heap keyed on those
   ratios, lowest cluster id first on exact ties — only the merged
   cluster's key changes per round, so re-selection is O(log G) instead of
@@ -34,12 +42,14 @@ Implementation notes — the phase runs on incremental state end to end:
   centroids, reusing its preallocated distance buffer, masked selections
   and O(d) in-place centroid updates (:meth:`~ClusteringEngine.replace_row`)
   instead of recomputing a Python-loop distance scan from scratch per
-  merge.  The partner is the argmin of the engine's canonical distances,
-  lowest cluster id on exact ties (pinned by
+  merge.  Its initial centroids are averaged by cluster size
+  (:func:`_centroid_matrix`), bitwise each cluster's own mean.  The
+  partner is the argmin of the engine's canonical distances, lowest
+  cluster id on exact ties (pinned by
   ``tests/microagg/test_kanon_first_golden.py``);
 * a checkpoint records decisions, not state: the (worst, partner) pairs
   merged so far and the RNG state.  A resume replays those merges
-  through the loop's own commit step.
+  through the loop's own commit step, which rebuilds the centroid rows.
 """
 
 from __future__ import annotations
@@ -97,6 +107,55 @@ def _nearest_partner(cengine: ClusteringEngine, worst: int) -> int:
     buf = cengine.masked_distances(np.inf)
     buf[cengine.positions_of(worst)] = np.inf
     return int(cengine.ids_at(np.argmin(buf)))
+
+
+#: The most member ids the ``lowest-emd`` policy scores in one
+#: :meth:`~repro.core.confidential.ConfidentialModel.emd_ratios` call, so
+#: a round holds O(LOWEST_EMD_BATCH) ids however many candidates it has.
+LOWEST_EMD_BATCH = 1 << 16
+
+
+def _lowest_emd_partner(
+    model: ConfidentialModel,
+    members: list[np.ndarray | None],
+    worst: int,
+    candidates: list[int],
+) -> int:
+    """The candidate whose merge with ``worst`` has the lowest exact EMD,
+    lowest id on exact ties, scored in batches of at most
+    :data:`LOWEST_EMD_BATCH` member ids."""
+    best = None
+    batch: list[int] = []
+    size = 0
+    for i, g in enumerate(candidates):
+        batch.append(g)
+        size += len(members[worst]) + len(members[g])
+        if size < LOWEST_EMD_BATCH and i + 1 < len(candidates):
+            continue
+        merged = model.emd_ratios(
+            [np.concatenate([members[worst], members[h]]) for h in batch]
+        )
+        for (num, den), h in zip(merged, batch):
+            key = (num / den, _Exact(num, den), h)
+            if best is None or key < best:
+                best = key
+        batch, size = [], 0
+    return best[2]
+
+
+def _centroid_matrix(qi_matrix: np.ndarray, partition: Partition) -> np.ndarray:
+    """Row g: cluster g's mean quasi-identifier row.
+
+    Clusters of one size are averaged together
+    (:meth:`~repro.microagg.partition.Partition.size_groups`); each row is
+    bitwise ``qi_matrix[members].mean(axis=0)`` of its cluster, since
+    numpy accumulates a ``(clusters, size, d)`` gather over its middle
+    axis in the order it accumulates one ``(size, d)`` block.
+    """
+    out = np.empty((partition.n_clusters, qi_matrix.shape[1]))
+    for ids, rows in partition.size_groups():
+        out[ids] = qi_matrix[rows].mean(axis=1)
+    return out
 
 
 def merge_to_t_closeness(
@@ -206,11 +265,9 @@ def merge_to_t_closeness(
         nonlocal cengine
         if cengine is None:
             # No merge has happened yet, so every initial cluster is
-            # intact; the reference gather-and-mean keeps centroid floats
-            # identical to the pre-engine implementation's.
+            # intact and its centroid is its partition cluster's mean.
             cengine = ClusteringEngine(
-                np.stack([qi_matrix[m].mean(axis=0) for m in members]),
-                backend=backend,
+                _centroid_matrix(qi_matrix, partition), backend=backend
             )
         return cengine
 
@@ -258,10 +315,6 @@ def merge_to_t_closeness(
     heap = [e for e in live if e is not None]
     heapq.heapify(heap)
 
-    def merged_key(worst: int, g: int) -> tuple:
-        num, den = model.emd_ratio(np.concatenate([members[worst], members[g]]))
-        return (num / den, _Exact(num, den), g)
-
     def snapshot_state() -> dict:
         return {
             "log": np.array(log, dtype=np.int64).reshape(-1, 2),
@@ -284,7 +337,7 @@ def merge_to_t_closeness(
                 g for g in range(n_groups) if members[g] is not None and g != worst
             ]
             if partner_policy == "lowest-emd":
-                best_g = min(candidates, key=lambda g: merged_key(worst, g))
+                best_g = _lowest_emd_partner(model, members, worst, candidates)
             else:  # random
                 best_g = int(rng.choice(candidates))
         commit(worst, best_g)
@@ -295,13 +348,14 @@ def merge_to_t_closeness(
         n_alive -= 1
         fault_point("merge.step")
 
-    survivors = [(m, r) for m, r in zip(members, ratios) if m is not None]
-    # Partition relabels clusters by first appearance in record order, so
-    # sort by each cluster's smallest record index to keep the EMD array
-    # aligned with the returned cluster ids.
-    survivors.sort(key=lambda pair: int(pair[0].min()))
-    final = Partition.from_clusters([m for m, _ in survivors], data.n_records)
-    final_emds = np.array([num / den for _, (num, den) in survivors])
+    survivors = [g for g, m in enumerate(members) if m is not None]
+    final = Partition.from_clusters([members[g] for g in survivors], data.n_records)
+    # Partition relabels clusters by first appearance in record order;
+    # any member's label is its cluster's final id.
+    final_emds = np.empty(len(survivors))
+    final_emds[final.labels[[members[g][0] for g in survivors]]] = [
+        ratios[g][0] / ratios[g][1] for g in survivors
+    ]
     return final, final_emds, len(log)
 
 

@@ -230,9 +230,8 @@ class OrderedEMDFrame(_IntegerFrame):
         is an integer); both halves are prefix-sum lookups.
         """
         n_k = self.n * consts
-        cross = np.clip(
-            np.searchsorted(self.cum, n_k // c, side="right"), starts, stops
-        )
+        cross = self.cum.searchsorted(n_k // c, side="right")
+        cross = np.minimum(np.maximum(cross, starts), stops)  # np.clip, cheaper
         prefix = self.prefix
         below = n_k * (cross - starts) - c * (prefix[cross] - prefix[starts])
         above = c * (prefix[stops] - prefix[cross]) - n_k * (stops - cross)
@@ -240,11 +239,23 @@ class OrderedEMDFrame(_IntegerFrame):
 
     def numerator(self, bins: np.ndarray) -> int:
         """S of the cluster whose members sit at ``bins``, in O(c log m)."""
-        uniq, counts = np.unique(bins, return_counts=True)
-        consts = np.concatenate([[0], np.cumsum(counts)])
-        starts = np.concatenate([[0], uniq])
-        stops = np.concatenate([uniq, [self.m]])
-        return int(self.segment_sums(starts, stops, consts, len(bins)).sum())
+        return self.sorted_numerator(np.sort(bins))
+
+    def sorted_numerator(self, sorted_bins: np.ndarray) -> int:
+        """S of the cluster whose members sit at ``sorted_bins`` (ascending).
+
+        The c member bins b_1 <= ... <= b_c cut [0, m) into the c + 1
+        segments [0, b_1), [b_1, b_2), ..., [b_c, m), on which the
+        cluster's cumulative count is 0, 1, ..., c: one
+        :meth:`segment_sums` call with no ``np.unique``.  A repeated bin
+        makes an empty segment, which adds 0, so ties stay exact.
+        """
+        c = len(sorted_bins)
+        bounds = np.empty(c + 2, dtype=np.int64)
+        bounds[0], bounds[-1] = 0, self.m
+        bounds[1:-1] = sorted_bins
+        consts = np.arange(c + 1)
+        return int(self.segment_sums(bounds[:-1], bounds[1:], consts, c).sum())
 
     def tracker(self, member_bins: np.ndarray) -> "ClusterEMDTracker":
         """Incremental scorer of a cluster with members at ``member_bins``."""
@@ -320,7 +331,7 @@ class ClusterEMDTracker(_ClusterTracker):
 
     def __init__(self, frame: OrderedEMDFrame, member_bins: np.ndarray) -> None:
         self._sorted = np.sort(self._start(frame, member_bins))
-        self.numerator = frame.numerator(self._sorted)
+        self.numerator = frame.sorted_numerator(self._sorted)
 
     def swap_numerators(self, remove_bins: np.ndarray, add_bin: int) -> np.ndarray:
         """S after replacing a member at ``remove_bins[j]`` by ``add_bin``."""
@@ -346,7 +357,7 @@ class ClusterEMDTracker(_ClusterTracker):
                 f"remove_bin {remove_bin} is not a member of the cluster"
             )
         self._sorted = np.sort(np.append(np.delete(self._sorted, idx), add_bin))
-        self.numerator = self.frame.numerator(self._sorted)
+        self.numerator = self.frame.sorted_numerator(self._sorted)
 
 
 @_dataclass(frozen=True)

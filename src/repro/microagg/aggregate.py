@@ -72,10 +72,11 @@ def cluster_centroids(
     computations between clusters (Algorithm 1's merge step).
 
     Clusters of one size are evaluated together, as one ``(clusters,
-    size)`` member matrix per column, so the cost is a few numpy calls per
-    distinct size instead of one per (cluster, column); every value is
-    bitwise :func:`~repro.microagg.centroids.centroid_value` of its
-    cluster.
+    size)`` member matrix per column
+    (:meth:`~repro.microagg.partition.Partition.size_groups`), so the
+    cost is a few numpy calls per distinct size instead of one per
+    (cluster, column); every value is bitwise
+    :func:`~repro.microagg.centroids.centroid_value` of its cluster.
     """
     if partition.n_records != data.n_records:
         raise ValueError(
@@ -89,14 +90,7 @@ def cluster_centroids(
         raise ValueError("no columns requested")
     columns = [(data.values(name), data.spec(name)) for name in names]
     out = np.empty((partition.n_clusters, len(names)), dtype=np.float64)
-    sizes = partition.sizes()
-    order = np.argsort(partition.labels, kind="stable")
-    starts = np.cumsum(sizes) - sizes
-    for size in np.unique(sizes):
-        # The members of every cluster of this size, one row per cluster,
-        # in ascending record order (the order of Partition.clusters()).
-        groups = np.flatnonzero(sizes == size)
-        rows = order[starts[groups, None] + np.arange(size)]
+    for groups, rows in partition.size_groups():
         for j, (column, spec) in enumerate(columns):
             out[groups, j] = _centroid_rows(column[rows], spec)
     return out

@@ -382,6 +382,7 @@ class ClusteringEngine:
             raise ValueError(
                 f"row must have shape ({self._X.shape[1]},), got {row.shape}"
             )
+        self._check_id(record_id)
         pos = int(self._pos[record_id])
         if pos < 0 or not self._alive[pos]:
             raise ValueError("cannot replace a record that is already assigned")
@@ -394,30 +395,46 @@ class ClusteringEngine:
         self._X[record_id] = row
         self._XwT[:, pos] = row
 
+    def _check_id(self, record_id: int) -> None:
+        """Reject an id outside ``[0, n_records)``: numpy would read a
+        negative one from the end of the position map, aliasing a live
+        record."""
+        if not 0 <= record_id < self._pos.size:
+            raise ValueError(
+                f"record id {record_id} outside [0, {self._pos.size})"
+            )
+
     def kill(self, record_ids: np.ndarray) -> None:
         """Mark records as assigned: mask them out and update the sum.
 
         Triggers window compaction when the live fraction falls below
-        ``compact_ratio``.  Killing an already-dead record is an error.
+        ``compact_ratio``.  Raises ``ValueError``, changing nothing, for
+        an id outside ``[0, n_records)``, an already-dead record (a
+        record a compaction dropped carries the -1 position sentinel, so
+        a stale position never aliases a live record) and an id repeated
+        in the batch (it would be counted twice in ``n_alive`` and the
+        running sum).  The guards run on the batch as Python lists: the
+        partitioners kill one cluster of a few records at a time, where a
+        list pass is cheaper than numpy's per-call overhead.
         """
-        ids = np.asarray(record_ids, dtype=np.int64)
-        if ids.size == 0:
+        ids = np.asarray(record_ids, dtype=np.int64).ravel()
+        batch = ids.tolist()
+        if not batch:
             return
+        self._check_id(min(batch))
+        self._check_id(max(batch))
         pos = self._pos[ids]
-        # Records dropped by a compaction carry the -1 sentinel; without it
-        # a stale position could alias a live record and a double-kill
-        # would silently kill the wrong row instead of raising.  The
-        # uniqueness check closes the same hole for duplicates within one
-        # batch, which would double-count in n_alive and the running sum.
-        if (pos < 0).any() or not self._alive[pos].all():
+        where = pos.tolist()
+        alive = self._alive
+        if min(where) < 0 or not all(alive[p] for p in where):
             raise ValueError("cannot kill a record that is already assigned")
-        if np.unique(pos).size != pos.size:
+        if len(set(batch)) != len(batch):
             raise ValueError("record ids to kill must be unique")
-        self._alive[pos] = False
-        self._dead_pos[self._n_dead : self._n_dead + ids.size] = pos
-        self._n_dead += ids.size
-        self._n_alive -= ids.size
-        self._sum -= self._X[ids].sum(axis=0)
+        alive[pos] = False
+        self._dead_pos[self._n_dead : self._n_dead + len(batch)] = pos
+        self._n_dead += len(batch)
+        self._n_alive -= len(batch)
+        self._sum -= np.add.reduce(self._X[ids], axis=0)
         if (
             self._ratio is not None
             and self._n_alive < self._ratio * self._m
@@ -434,6 +451,7 @@ class ClusteringEngine:
         The merge loop retires exactly one cluster per commit, so this is
         its per-merge call.
         """
+        self._check_id(record_id)
         pos = int(self._pos[record_id])
         if pos < 0 or not self._alive[pos]:
             raise ValueError("cannot kill a record that is already assigned")

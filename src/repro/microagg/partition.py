@@ -19,6 +19,9 @@ class PartitionError(ValueError):
     """Raised when a partition violates a structural invariant."""
 
 
+_MALFORMED = "cluster members must be flat sequences of integer record indices"
+
+
 class Partition:
     """Assignment of n records to contiguous cluster ids ``0..n_clusters-1``.
 
@@ -61,33 +64,41 @@ class Partition:
     ) -> "Partition":
         """Build from explicit clusters given as record-index collections.
 
+        One pass over all members: one concatenate, one ``np.repeat`` of
+        the cluster ids, one ``bincount`` check and one scatter, however
+        many clusters there are.  Integral floats and bools are taken as
+        integers.
+
         Raises
         ------
         PartitionError
-            If the clusters overlap or do not cover ``0..n_records-1``.
+            Naming the first offending cluster, and within it the first
+            of: it is empty, holds a non-integer, references a record
+            outside ``0..n_records-1``, repeats a record of an earlier
+            cluster, or lists a record twice.  With no such cluster, a
+            record is in no cluster.
         """
-        labels = np.full(n_records, -1, dtype=np.int64)
-        for g, members in enumerate(clusters):
-            idx = np.asarray(list(members), dtype=np.int64)
-            if idx.size == 0:
-                raise PartitionError(f"cluster {g} is empty")
-            if idx.min() < 0 or idx.max() >= n_records:
-                raise PartitionError(
-                    f"cluster {g} references records outside [0, {n_records})"
-                )
-            if (labels[idx] != -1).any():
-                dup = idx[labels[idx] != -1][0]
-                raise PartitionError(
-                    f"record {dup} assigned to two clusters "
-                    f"({labels[dup]} and {g})"
-                )
-            labels[idx] = g
-        uncovered = np.flatnonzero(labels == -1)
-        if uncovered.size:
-            raise PartitionError(
-                f"{uncovered.size} record(s) not assigned to any cluster "
-                f"(first: {uncovered[0]})"
-            )
+        parts = [m if isinstance(m, np.ndarray) else list(m) for m in clusters]
+        sizes = [len(m) for m in parts]
+        owner = np.repeat(np.arange(len(parts), dtype=np.int64), sizes)
+        try:
+            flat = np.concatenate(parts) if parts else owner
+        except ValueError:  # members nested to different depths
+            raise PartitionError(_MALFORMED) from None
+        if flat.ndim != 1 or flat.dtype.kind not in "biuf":
+            raise PartitionError(_MALFORMED)
+        ok = 0 not in sizes and flat.size == n_records
+        if ok and flat.dtype.kind == "f":
+            ok = bool((flat == np.trunc(flat)).all())
+        if ok and flat.size:
+            ok = flat.min() >= 0 and flat.max() < n_records
+        if ok:
+            flat = flat.astype(np.int64, copy=False)
+            ok = bool((np.bincount(flat, minlength=n_records) == 1).all())
+        if not ok:
+            raise PartitionError(_first_defect(parts, n_records))
+        labels = np.empty(n_records, dtype=np.int64)
+        labels[flat] = owner
         return cls(labels)
 
     @classmethod
@@ -141,6 +152,23 @@ class Partition:
     def clusters(self) -> Iterator[np.ndarray]:
         """Iterate clusters as index arrays, in cluster-id order."""
         return iter(self._member_lists())
+
+    def size_groups(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Clusters grouped by size, one ``(ids, rows)`` pair per distinct
+        size s, ascending.
+
+        ``ids`` holds the ids of the clusters of s records, ascending, and
+        ``rows`` is the ``(len(ids), s)`` matrix whose row i lists cluster
+        ``ids[i]``'s records in ascending order, as :meth:`cluster` does.
+        Per-cluster statistics then cost a few numpy calls per distinct
+        size instead of one per cluster.
+        """
+        sizes = self.sizes()
+        order = np.argsort(self._labels, kind="stable")
+        starts = np.cumsum(sizes) - sizes
+        for size in np.unique(sizes):
+            ids = np.flatnonzero(sizes == size)
+            yield ids, order[starts[ids, None] + np.arange(size)]
 
     def _member_lists(self) -> list[np.ndarray]:
         if self._members is None:
@@ -201,3 +229,40 @@ class Partition:
             f"Partition({self.n_records} records, {self.n_clusters} clusters, "
             f"sizes {int(sizes.min())}..{int(sizes.max())})"
         )
+
+
+def _first_defect(parts: list, n_records: int) -> str:
+    """Why ``parts`` is not a partition of ``0..n_records-1``.
+
+    The error path of :meth:`Partition.from_clusters`: a cluster-by-cluster
+    scan that stops at the first offending cluster and reports, within it,
+    the first defect in the order that method lists them.
+    """
+    labels = np.full(n_records, -1, dtype=np.int64)
+    for g, members in enumerate(parts):
+        idx = np.asarray(members)
+        if idx.size == 0:
+            return f"cluster {g} is empty"
+        if idx.dtype.kind == "f":
+            fractional = idx != np.trunc(idx)  # NaN included
+            if fractional.any():
+                return f"cluster {g} holds the non-integer record {idx[fractional][0]}"
+        if idx.min() < 0 or idx.max() >= n_records:
+            return f"cluster {g} references records outside [0, {n_records})"
+        idx = idx.astype(np.int64)
+        taken = labels[idx] != -1
+        if taken.any():
+            dup = idx[taken][0]
+            return f"record {dup} assigned to two clusters ({labels[dup]} and {g})"
+        labels[idx] = g
+        if np.unique(idx).size != idx.size:
+            seen: set[int] = set()
+            for record in idx.tolist():
+                if record in seen:
+                    return f"record {record} listed twice in cluster {g}"
+                seen.add(record)
+    uncovered = np.flatnonzero(labels == -1)
+    return (
+        f"{uncovered.size} record(s) not assigned to any cluster "
+        f"(first: {uncovered[0]})"
+    )

@@ -27,6 +27,8 @@ import numpy as np
 import pytest
 
 from repro.backend import SerialBackend, _native, kernels
+from repro.core.confidential import SwapFrame
+from repro.distance.emd import OrderedEMDFrame
 from repro.microagg import ClusteringEngine
 
 from ..contexts import CONTEXTS
@@ -488,6 +490,79 @@ class TestEngineScans:
         assert select(d2, alive.astype(np.int8), 6, 1) is None
         with pytest.raises(ValueError, match="positive"):
             kernels.k_nearest_live(d2, alive, 6, 0)
+
+
+@native_only
+class TestAddressFallbacks:
+    """The bindings read an array's address through ``ctypes.c_char
+    .from_buffer``, which takes only writable, C-contiguous, non-empty
+    arrays; every other array falls back to ``.ctypes.data`` and must give
+    the spec's result."""
+
+    def test_address_is_the_ctypes_address(self):
+        rng = np.random.default_rng(48)
+        base = half_grid(rng, (3, 40))
+        frozen = base[0].copy()
+        frozen.flags.writeable = False
+        arrays = (base, base[1], base[:, 3:], frozen, np.empty(0), np.zeros(5, bool))
+        for a in arrays:
+            assert _native._address(a) == a.ctypes.data
+
+    def test_read_only_point(self):
+        rng = np.random.default_rng(49)
+        cols = half_grid(rng, (3, 200))
+        point = cols[:, 5].copy()
+        point.flags.writeable = False
+        want, tmp = np.empty(200), np.empty(200)
+        kernels.sq_distances_block(cols, point, want, tmp, 0, 200)
+        got = np.full(200, -1.0)
+        assert _native.load().sq_distances(cols, point, got, 200)
+        np.testing.assert_array_equal(got, want)
+
+    def test_non_contiguous_columns(self):
+        # A window of 120 records in a 300-record working copy: each
+        # column is contiguous, the matrix is not.
+        rng = np.random.default_rng(50)
+        wide = half_grid(rng, (3, 300))
+        wide[:, 60:80] = wide[:, 7:8]
+        for cols in (wide[:, :120], wide[:, 40:160]):
+            assert not cols.flags.c_contiguous
+            point = wide[:, 7].copy()
+            want, tmp = np.full(120, -1.0), np.empty(120)
+            kernels.sq_distances_block(cols, point, want, tmp, 0, 120)
+            got = np.full(120, -1.0)
+            assert _native.load().sq_distances(cols, point, got, 120)
+            np.testing.assert_array_equal(got, want)
+
+    def test_read_only_selection_buffers(self):
+        rng = np.random.default_rng(51)
+        d2 = rng.integers(0, 3, 90).astype(np.float64)
+        alive = rng.random(90) < 0.7
+        d2.flags.writeable = alive.flags.writeable = False
+        for k in (1, 7, 200):
+            np.testing.assert_array_equal(
+                _native.load().k_nearest(d2, alive, 90, k),
+                kernels._k_nearest_live_numpy(d2, alive, 90, k),
+            )
+
+    def test_empty_arrays(self):
+        native = _native.load()
+        cols = half_grid(np.random.default_rng(52), (2, 10))
+        assert native.sq_distances(cols, cols[:, 0].copy(), np.empty(0), 0)
+        empty_d2, empty_alive = np.empty(0), np.empty(0, dtype=bool)
+        np.testing.assert_array_equal(native.k_nearest(empty_d2, empty_alive, 0, 3), [])
+        d2, alive = np.arange(6.0), np.ones(6, dtype=bool)
+        np.testing.assert_array_equal(native.k_nearest(d2, alive, 0, 3), [])
+        # An empty pool chunk: the kernel reports it exhausted (or the
+        # cluster already within t), exactly as the spec does.
+        frame = SwapFrame([OrderedEMDFrame(np.arange(12) % 4, 4)], 3, 0.05)
+        for members in ([0, 4, 8], [0, 1, 2]):
+            got_members = np.array(members, dtype=np.int64)
+            spec_members = got_members.copy()
+            pool = np.empty(0, dtype=np.int64)
+            got = native.alg2_refine(frame, got_members, pool, 5)
+            assert got == frame.refine(spec_members, pool, 5)
+            np.testing.assert_array_equal(got_members, spec_members)
 
 
 @native_only

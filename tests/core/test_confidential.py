@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ConfidentialModel
 from repro.core.confidential import check_exact_bound
@@ -222,6 +224,33 @@ class TestEmdRatios:
         assert model.emd_ratios([]) == []
         with pytest.raises(ValueError, match="non-empty"):
             model.emd_ratios([np.arange(3), np.arange(0)])
+
+
+class TestMergedClusterRatios:
+    """The merge loop scores every merged cluster with :meth:`emd_ratio`,
+    whose ordered numerator is one segment evaluation over the merged
+    cluster's sorted bins (no ``np.unique``)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_merge_sequences(self, seed):
+        # Duplicate-heavy ordered bins, a nominal attribute, two attributes
+        # and a one-bin frame; along a random merge sequence every merged
+        # cluster's ratio equals the one-pass emd_ratios (np.unique
+        # segments) and the dense Definition-2 Fraction.
+        rng = np.random.default_rng(seed)
+        for kind, data in TestEmdRatios.tables(rng):
+            model = ConfidentialModel(data)
+            frame = model.swap_frame(1, 1.0)
+            clusters = TestEmdRatios.clusters(rng, data.n_records)
+            live = list(range(len(clusters)))
+            while len(live) > 1:
+                a, b = (int(g) for g in rng.choice(live, 2, replace=False))
+                clusters[a] = np.concatenate([clusters[a], clusters[b]])
+                live.remove(b)
+                num, den = model.emd_ratio(clusters[a])
+                assert (num, den) == model.emd_ratios([clusters[a]])[0], kind
+                assert Fraction(num, den) == dense_emd(frame, clusters[a]), kind
 
 
 class TestClusterTrackerSet:

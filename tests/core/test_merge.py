@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ConfidentialModel, merge_to_t_closeness, microaggregation_merge
+from repro.core.merge import _centroid_matrix
 from repro.data import AttributeRole, Microdata, load_mcd, numeric
 from repro.microagg import Partition, mdav, vmdav
 
@@ -134,3 +135,22 @@ class TestMergePhaseAlone:
         partition = mdav(data.qi_matrix(), 2)
         _, _, n_merges = merge_to_t_closeness(data, partition, 0.05)
         assert n_merges <= partition.n_clusters - 1
+
+
+class TestPartnerCentroids:
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_grouped_means_are_the_per_cluster_means_bitwise(self, d):
+        # One cluster of every size 1..300 plus repeats of a few sizes,
+        # shuffled over the records: the size-grouped centroid matrix the
+        # partner engine starts from must be each cluster's own
+        # qi_matrix[members].mean(axis=0), bit for bit.
+        rng = np.random.default_rng(22)
+        sizes = np.concatenate([np.arange(1, 301), [5, 5, 64, 129, 300]])
+        labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        X = 30_000.0 * np.exp(rng.standard_normal((labels.size, d)))
+        X[::7] = np.round(X[::7])
+        partition = Partition(labels)
+        got = _centroid_matrix(X, partition)
+        assert got.shape == (len(sizes), d)
+        for g, members in enumerate(partition.clusters()):
+            assert got[g].tobytes() == X[members].mean(axis=0).tobytes(), g

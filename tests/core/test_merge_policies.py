@@ -66,6 +66,22 @@ def test_lowest_emd_picks_the_emd_optimal_partner(data):
         assert merged_cluster_emd == pytest.approx(best)
 
 
+@pytest.mark.parametrize("batch", [1, 7, 40])
+def test_lowest_emd_batches_do_not_change_the_result(data, monkeypatch, batch):
+    """Candidates are scored in batches of at most LOWEST_EMD_BATCH member
+    ids; the running (float, exact, id) minimum picks the same partners,
+    lowest id on exact ties, as one batch of every candidate."""
+    from repro.core import merge
+
+    partition = mdav(data.qi_matrix(), 2)
+    whole = merge_to_t_closeness(data, partition, 0.05, partner_policy="lowest-emd")
+    monkeypatch.setattr(merge, "LOWEST_EMD_BATCH", batch)
+    split = merge_to_t_closeness(data, partition, 0.05, partner_policy="lowest-emd")
+    assert whole[2] == split[2] > 0
+    assert split[0] == whole[0]
+    np.testing.assert_array_equal(split[1], whole[1])
+
+
 def test_random_policy_deterministic_given_seed(data):
     partition = mdav(data.qi_matrix(), 2)
     a = merge_to_t_closeness(data, partition, 0.1, partner_policy="random", seed=5)

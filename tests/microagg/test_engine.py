@@ -52,6 +52,38 @@ class TestValidation:
             engine.kill(np.array([3, 3]))
         assert engine.n_alive == n_alive
 
+    @pytest.mark.parametrize("bad", [-1, -2, 10, 11])
+    def test_ids_outside_the_records_rejected(self, bad):
+        # A negative id would read the position map from the end and
+        # alias a live record: -1 is record 9, -2 record 8.
+        _, engine = make_engine(n=10, d=2)
+        for attempt in (
+            lambda: engine.kill(np.array([bad])),
+            lambda: engine.kill(np.array([0, bad])),
+            lambda: engine.kill_one(bad),
+            lambda: engine.replace_row(bad, np.zeros(2)),
+        ):
+            with pytest.raises(ValueError, match=r"outside \[0, 10\)"):
+                attempt()
+        assert engine.n_alive == 10
+        np.testing.assert_array_equal(engine.alive_ids(), np.arange(10))
+
+    def test_kill_takes_a_scalar_id(self):
+        _, engine = make_engine(n=10, d=2)
+        engine.kill(np.int64(0))
+        engine.kill(7)
+        np.testing.assert_array_equal(engine.alive_ids(), [1, 2, 3, 4, 5, 6, 8, 9])
+
+    def test_rejected_batch_changes_nothing(self):
+        X, engine = make_engine(n=10, d=2)
+        engine.kill(np.array([4]))
+        before = engine.centroid_fast()
+        for batch in ([1, 4], [2, 2], [3, -1]):
+            with pytest.raises(ValueError):
+                engine.kill(np.array(batch))
+        assert engine.n_alive == 9
+        np.testing.assert_array_equal(engine.centroid_fast(), before)
+
     def test_centroid_requires_alive(self):
         _, engine = make_engine(n=2)
         engine.kill(np.array([0, 1]))

@@ -58,6 +58,52 @@ class TestConstruction:
         with pytest.raises(PartitionError, match="outside"):
             Partition.from_clusters([[0, 5]], 2)
 
+    @pytest.mark.parametrize(
+        "clusters, n, message",
+        [
+            ([[0, 1], [], [2]], 3, "cluster 1 is empty"),
+            ([[0, 1], [2, 9], [-1]], 3, r"cluster 1 references records outside \[0, 3\)"),
+            ([[0], [1, -1], [2]], 3, r"cluster 1 references records outside \[0, 3\)"),
+            ([[0], [1, 2], [2, 3], [1]], 4, r"record 2 assigned to two clusters \(1 and 2\)"),
+            ([[0], [3, 1, 3], [2]], 4, "record 3 listed twice in cluster 1"),
+            ([[0, 4], [1]], 5, r"2 record\(s\) not assigned to any cluster \(first: 2\)"),
+            # Mixed defects: the lowest offending cluster wins, whatever
+            # the kind, and within one cluster the first kind listed.
+            ([[0, 1], [1], [7]], 3, r"record 1 assigned to two clusters \(0 and 1\)"),
+            ([[0, 9], [], [0]], 3, r"cluster 0 references records outside \[0, 3\)"),
+            ([[0], [1, 1], [], [5]], 6, "record 1 listed twice in cluster 1"),
+            ([[0], [2, 0, 2, 9]], 3, r"cluster 1 references records outside \[0, 3\)"),
+            ([[0], [2, 0, 2]], 3, r"record 0 assigned to two clusters \(0 and 1\)"),
+            ([[1, 1], [0, 1]], 2, "record 1 listed twice in cluster 0"),
+        ],
+    )
+    def test_from_clusters_names_the_first_offending_cluster(self, clusters, n, message):
+        with pytest.raises(PartitionError, match=f"^{message}$"):
+            Partition.from_clusters(clusters, n)
+        arrays = [np.asarray(c, dtype=np.int64) for c in clusters]
+        with pytest.raises(PartitionError, match=f"^{message}$"):
+            Partition.from_clusters(arrays, n)
+
+    def test_from_clusters_rejects_non_integer_members(self):
+        # Truncating them would silently place records 0 and 1.
+        with pytest.raises(PartitionError, match="cluster 0 holds the non-integer record 0.5"):
+            Partition.from_clusters([[0.5, 1.7], [2, 3]], 4)
+        with pytest.raises(PartitionError, match="cluster 1 holds the non-integer record nan"):
+            Partition.from_clusters([np.array([0, 1]), np.array([2.0, np.nan])], 4)
+        with pytest.raises(PartitionError, match="cluster 1 holds the non-integer record 0.5"):
+            Partition.from_clusters([[1], [0, 0.5], [7]], 3)
+        for clusters in ([["a", "b"]], [[0], ["1"]], [[[0, 1]]], [[0], [[1, 2]]]):
+            with pytest.raises(PartitionError, match="flat sequences of integer record"):
+                Partition.from_clusters(clusters, 2)
+
+    def test_from_clusters_accepts_integral_floats_and_iterables(self):
+        want = Partition([0, 1, 0, 1])
+        assert Partition.from_clusters([[0.0, 2.0], np.array([1.0, 3.0])], 4) == want
+        assert Partition.from_clusters([range(0, 4, 2), iter([3, 1])], 4) == want
+        assert Partition.from_clusters((c for c in [[2, 0], [1, 3]]), 4) == want
+        # Bools are taken as 0 and 1, as the per-cluster int64 cast took them.
+        assert Partition.from_clusters([[True], np.array([False])], 2) == Partition([0, 1])
+
     def test_single_cluster(self):
         p = Partition.single_cluster(4)
         assert p.n_clusters == 1
