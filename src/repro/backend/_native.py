@@ -1,8 +1,8 @@
-"""Optional compiled kernels: the kd assign query, Algorithm 2's refinement
-and the clustering engine's per-round scans.
+"""Optional compiled kernels: the kd assign query, Algorithm 2's refinement,
+the clustering engine's per-round scans and the live index.
 
 On hosts that ship a C compiler this module builds one small shared
-library with four entry points.
+library with eight entry points.
 
 ``repro_kd_nearest`` answers serving's nearest-representative queries
 (:func:`repro.backend.kernels.nearest_block`) against a
@@ -58,6 +58,33 @@ of repeated runs), the scan binding costs 3.5 µs a call over a 100-row
 window, against 6.2 µs with ``.ctypes.data`` and about 1 µs for the raw
 C call.
 
+The four ``repro_live_*`` entry points run the live index MDAV, V-MDAV
+and Algorithm 2 select from (:class:`repro.microagg.engine.LiveIndex`):
+a :class:`~repro.backend.kernels.LiveTree`, the kd-tree of a
+``NearestIndex`` built once over all n records, whose per-node live
+counts and boxes ``repro_live_kill`` updates as clusters take records
+(decrement the counts on the leaf-to-root path, refit the leaf's box to
+its live records when the killed one was on its boundary, propagate the
+union upward until a box stops moving).  ``repro_live_k_nearest`` (the k
+smallest (distance, id), in that order), ``repro_live_farthest`` (the
+lowest id at the maximum and, given ``farthest_from_centroid``'s band
+margin, the largest distance of the other records in the band, so one
+traversal tells whether the band holds a second record) and
+``repro_live_at_or_above`` (every live record at or above a squared
+distance: the band's records, listed only when it holds more than one)
+score a leaf's live records with the canonical leaf-scan arithmetic, so
+every candidate gets bitwise ``repro_sq_distances``' distance.  They
+bound a node from below by ``box_bound`` and from above by summing
+``max(x - lo, hi - x)**2`` in the same column order, which monotone
+rounding keeps at or above every live record's rounded distance, and
+skip a node only when it holds no live record or its bound is strictly
+past the running best (for the farthest query given a band margin, past
+twice that margin below it), because a node exactly at the bound may
+hold a lower id.  A query point with a NaN coordinate is declined
+(-1) and the caller runs its numpy spec.  An index is bound once, as one
+ctypes struct of its array addresses (:func:`live_handle`); a query
+passes that struct's address, the point and its outputs.
+
 Every C call releases the GIL (``ctypes.CDLL``), so calls from concurrent
 threads (serving's batcher runs each assign on an executor thread, fits
 may run on several threads) run in parallel.
@@ -77,9 +104,13 @@ The build is best-effort and cached:
   one-bin attribute at budgets 1 and unlimited, the distance scan over
   half-integer grids with duplicated rows and a window shorter than its
   buffer, the selection over distances in {0, 1, 2} with dead positions
-  at k = 1 up to past the live count — and rejects the library on any
-  difference, so a misbehaving toolchain degrades to the (slow, correct)
-  specs instead of corrupting results.
+  at k = 1 up to past the live count, the live index's queries (the
+  farthest one at band margins of 0, 1e-6 and 0.25, with its runner-up)
+  through kills at two forced depths over half-integer grids with
+  duplicated rows and a row of 1e200 — and rejects the library on any
+  difference, so a misbehaving toolchain degrades to the (slow, correct) specs
+  instead of corrupting results.  The whole self-check takes a few tens
+  of milliseconds, once per process.
 """
 
 from __future__ import annotations
@@ -97,6 +128,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 _SOURCE = r"""
+#include <math.h>
 #include <stddef.h>
 #include <stdlib.h>
 
@@ -333,6 +365,421 @@ long long repro_k_nearest(const double *restrict d2,
         sift(out, end, 0, d2);
     }
     return size;
+}
+
+/* ---- The live index: a kd-tree over the unassigned records -------------
+ *
+ * The tree of a NearestIndex built over all n records (cols: d x n in leaf
+ * order, ids: slot -> record id, slot: record id -> slot), plus a live
+ * count per node and per-slot liveness.  A kill decrements the counts on
+ * the leaf-to-root path, refits the leaf's box to its live records and
+ * propagates the union upward, so every non-empty node's box is exactly
+ * the bounding box of its live records.  Queries score a leaf's live
+ * records with the canonical arithmetic (bitwise repro_sq_distances), skip
+ * nodes without live records and prune the others only on a strict
+ * inequality, so exact ties still go to the lowest record id.  Every query
+ * returns -1, touching nothing, for a point with a NaN coordinate (the
+ * caller then runs its numpy spec).
+ */
+typedef struct {
+    long long n, d, n_inner;
+    const double *cols;
+    const long long *ids, *slot, *leaf_bounds;
+    double *lo, *hi;
+    long long *count;
+    unsigned char *alive;
+} live_tree;
+
+static int has_nan(const double *x, long long d)
+{
+    for (long long j = 0; j < d; ++j)
+        if (x[j] != x[j])
+            return 1;
+    return 0;
+}
+
+/* Upper bound on the squared distance from x to any point of the box: the
+ * farther box face per column, squared and summed in the leaf scan's
+ * column order.  For lo <= r <= hi, |x - r| <= max(x - lo, hi - x), and
+ * rounding is monotone (and symmetric under negation), so the rounded
+ * bound is never below the rounded distance to a record inside. */
+static double box_reach(const double *restrict x, const double *restrict lo,
+                        const double *restrict hi, long long d)
+{
+    double acc = 0.0;
+    for (long long j = 0; j < d; ++j) {
+        double a = x[j] - lo[j], b = hi[j] - x[j];
+        double g = a > b ? a : b;
+        acc += g * g;
+    }
+    return acc;
+}
+
+/* Canonical distances from x to the slots g0..g0+m-1 (m <= BLOCK). */
+static void live_block(const live_tree *t, const double *restrict x,
+                       long long g0, long long m, double *restrict buf)
+{
+    const double *c0 = t->cols + g0;
+    for (long long r = 0; r < m; ++r) {
+        double u = x[0] - c0[r];
+        buf[r] = u * u;
+    }
+    for (long long j = 1; j < t->d; ++j) {
+        const double *cj = t->cols + j * t->n + g0;
+        double xj = x[j];
+        for (long long r = 0; r < m; ++r) {
+            double u = xj - cj[r];
+            buf[r] += u * u;
+        }
+    }
+}
+
+/* Whether (da, ia) sorts after (db, ib). */
+static int pair_after(double da, long long ia, double db, long long ib)
+{
+    return da > db || (da == db && ia > ib);
+}
+
+/* Restore the max-heap of (d2, id) pairs below position i. */
+static void pair_sift(long long *id, double *d2, long long size, long long i)
+{
+    for (;;) {
+        long long top = i, l = 2 * i + 1, r = l + 1;
+        if (l < size && pair_after(d2[l], id[l], d2[top], id[top]))
+            top = l;
+        if (r < size && pair_after(d2[r], id[r], d2[top], id[top]))
+            top = r;
+        if (top == i)
+            return;
+        long long si = id[i];
+        double sd = d2[i];
+        id[i] = id[top];
+        d2[i] = d2[top];
+        id[top] = si;
+        d2[top] = sd;
+        i = top;
+    }
+}
+
+/* The k live records with the smallest (distance, id), in that order, into
+ * out_id / out_d2; returns how many (k, or every live record when fewer).
+ * A max-heap holds the k best so far; a node is skipped when the heap is
+ * full and the node's lower bound is strictly above the heap's root. */
+long long repro_live_k_nearest(const live_tree *t, const double *restrict x,
+                               long long k, long long *restrict out_id,
+                               double *restrict out_d2)
+{
+    const long long d = t->d, n_inner = t->n_inner;
+    long long stack[MAX_DEPTH], size = 0;
+    double stack_bound[MAX_DEPTH], buf[BLOCK];
+    int top = 0;
+    if (has_nan(x, d))
+        return -1;
+    long long node = k > 0 && t->count[0] > 0 ? 0 : -1;
+    while (node >= 0) {
+        while (node < n_inner) {
+            long long near = 2 * node + 1, far = near + 1;
+            int live_far = t->count[far] > 0;
+            double b_near = 0.0, b_far = 0.0;
+            if (t->count[near] > 0)
+                b_near = box_bound(x, t->lo + near * d, t->hi + near * d, d);
+            if (live_far)
+                b_far = box_bound(x, t->lo + far * d, t->hi + far * d, d);
+            if (t->count[near] == 0 || (live_far && b_far < b_near)) {
+                long long s = near;
+                double sb = b_near;
+                near = far;
+                far = s;
+                b_near = b_far;
+                b_far = sb;
+                live_far = t->count[far] > 0;
+            }
+            if (live_far && !(size == k && b_far > out_d2[0])) {
+                stack[top] = far;
+                stack_bound[top] = b_far;
+                ++top;
+            }
+            node = size == k && b_near > out_d2[0] ? -1 : near;
+            if (node < 0)
+                break;
+        }
+        if (node >= 0) {
+            long long leaf = node - n_inner;
+            long long p1 = t->leaf_bounds[leaf + 1];
+            for (long long g0 = t->leaf_bounds[leaf]; g0 < p1; g0 += BLOCK) {
+                long long m = p1 - g0 < BLOCK ? p1 - g0 : BLOCK;
+                live_block(t, x, g0, m, buf);
+                for (long long r = 0; r < m; ++r) {
+                    if (!t->alive[g0 + r])
+                        continue;
+                    long long id = t->ids[g0 + r];
+                    if (size < k) {
+                        /* Sift the new pair up from the end. */
+                        long long i = size++;
+                        while (i > 0) {
+                            long long parent = (i - 1) / 2;
+                            if (!pair_after(buf[r], id, out_d2[parent],
+                                            out_id[parent]))
+                                break;
+                            out_id[i] = out_id[parent];
+                            out_d2[i] = out_d2[parent];
+                            i = parent;
+                        }
+                        out_id[i] = id;
+                        out_d2[i] = buf[r];
+                    } else if (pair_after(out_d2[0], out_id[0], buf[r], id)) {
+                        out_id[0] = id;
+                        out_d2[0] = buf[r];
+                        pair_sift(out_id, out_d2, size, 0);
+                    }
+                }
+            }
+        }
+        node = -1;
+        while (top > 0) {
+            --top;
+            if (!(size == k && stack_bound[top] > out_d2[0])) {
+                node = stack[top];
+                break;
+            }
+        }
+    }
+    for (long long end = size - 1; end > 0; --end) {
+        long long si = out_id[0];
+        double sd = out_d2[0];
+        out_id[0] = out_id[end];
+        out_d2[0] = out_d2[end];
+        out_id[end] = si;
+        out_d2[end] = sd;
+        pair_sift(out_id, out_d2, end, 0);
+    }
+    return size;
+}
+
+/* The pruning threshold of a farthest query at running maximum best.  With
+ * margin 0 it is best: a node is skipped only when its upper bound is
+ * strictly below the maximum.  With a margin the query must also score
+ * every record in the band [best - margin * (1 + |best|), best] below the
+ * final maximum (engine._band_floor), so it keeps every node reaching
+ * within twice that margin of the running maximum: the final maximum is
+ * never below the running one, and the band floor of the final maximum
+ * then lies at least margin * (1 + |best|) above this threshold, far more
+ * than their rounding.  An infinite maximum keeps every node at inf. */
+static double reach_floor(double best, double margin)
+{
+    if (margin == 0.0 || best == INFINITY)
+        return best;
+    return best - 2.0 * margin * (1.0 + fabs(best));
+}
+
+/* The live record farthest from x, the lowest id on exact ties.  Its squared
+ * distance goes to out[0] and the largest squared distance of the other
+ * records scored to out[1] (-inf with none); with margin > 0 every record in
+ * the band below the maximum (see reach_floor) is scored, so out[1] tells
+ * whether the band holds a second record.  Returns the id, or -1 when no
+ * record is live. */
+long long repro_live_farthest(const live_tree *t, const double *restrict x,
+                              double margin, double *restrict out)
+{
+    const long long d = t->d, n_inner = t->n_inner;
+    long long stack[MAX_DEPTH], best_id = -1;
+    double stack_bound[MAX_DEPTH], buf[BLOCK], best = -INFINITY;
+    double runner = -INFINITY, cut = -INFINITY;
+    int top = 0;
+    if (has_nan(x, d))
+        return -1;
+    long long node = t->count[0] > 0 ? 0 : -1;
+    while (node >= 0) {
+        while (node < n_inner) {
+            long long far = 2 * node + 1, near = far + 1;
+            int live_near = t->count[near] > 0;
+            double b_far = 0.0, b_near = 0.0;
+            if (t->count[far] > 0)
+                b_far = box_reach(x, t->lo + far * d, t->hi + far * d, d);
+            if (live_near)
+                b_near = box_reach(x, t->lo + near * d, t->hi + near * d, d);
+            if (t->count[far] == 0 || (live_near && b_near > b_far)) {
+                long long s = far;
+                double sb = b_far;
+                far = near;
+                near = s;
+                b_far = b_near;
+                b_near = sb;
+                live_near = t->count[near] > 0;
+            }
+            if (live_near && !(b_near < cut)) {
+                stack[top] = near;
+                stack_bound[top] = b_near;
+                ++top;
+            }
+            node = b_far < cut ? -1 : far;
+            if (node < 0)
+                break;
+        }
+        if (node >= 0) {
+            long long leaf = node - n_inner;
+            long long p1 = t->leaf_bounds[leaf + 1];
+            for (long long g0 = t->leaf_bounds[leaf]; g0 < p1; g0 += BLOCK) {
+                long long m = p1 - g0 < BLOCK ? p1 - g0 : BLOCK;
+                live_block(t, x, g0, m, buf);
+                for (long long r = 0; r < m; ++r) {
+                    if (!t->alive[g0 + r])
+                        continue;
+                    long long id = t->ids[g0 + r];
+                    if (buf[r] > best || (buf[r] == best && id < best_id)) {
+                        runner = best;
+                        best = buf[r];
+                        best_id = id;
+                    } else if (buf[r] > runner) {
+                        runner = buf[r];
+                    }
+                }
+            }
+            cut = reach_floor(best, margin);
+        }
+        node = -1;
+        while (top > 0) {
+            --top;
+            if (!(stack_bound[top] < cut)) {
+                node = stack[top];
+                break;
+            }
+        }
+    }
+    out[0] = best;
+    out[1] = runner;
+    return best_id;
+}
+
+/* Every live record at squared distance >= least from x, in tree order:
+ * the first cap ids into out; returns how many there are in all. */
+long long repro_live_at_or_above(const live_tree *t, const double *restrict x,
+                                 double least, long long *restrict out,
+                                 long long cap)
+{
+    const long long d = t->d, n_inner = t->n_inner;
+    long long stack[MAX_DEPTH], found = 0;
+    double buf[BLOCK];
+    int top = 0;
+    if (has_nan(x, d))
+        return -1;
+    if (t->count[0] > 0)
+        stack[top++] = 0;
+    while (top > 0) {
+        long long node = stack[--top];
+        /* Descend the left spine, deferring right children. */
+        while (node < n_inner) {
+            long long left = 2 * node + 1, right = left + 1;
+            int keep_left = t->count[left] > 0
+                && !(box_reach(x, t->lo + left * d, t->hi + left * d, d) < least);
+            if (t->count[right] > 0
+                && !(box_reach(x, t->lo + right * d, t->hi + right * d, d) < least))
+                stack[top++] = right;
+            node = keep_left ? left : -1;
+            if (node < 0)
+                break;
+        }
+        if (node < 0)
+            continue;
+        long long leaf = node - n_inner;
+        long long p1 = t->leaf_bounds[leaf + 1];
+        for (long long g0 = t->leaf_bounds[leaf]; g0 < p1; g0 += BLOCK) {
+            long long m = p1 - g0 < BLOCK ? p1 - g0 : BLOCK;
+            live_block(t, x, g0, m, buf);
+            for (long long r = 0; r < m; ++r) {
+                if (t->alive[g0 + r] && buf[r] >= least) {
+                    if (found < cap)
+                        out[found] = t->ids[g0 + r];
+                    ++found;
+                }
+            }
+        }
+    }
+    return found;
+}
+
+/* Recompute node v's box from its live children; returns whether it moved. */
+static int refit_inner(live_tree *t, long long v)
+{
+    const long long d = t->d;
+    long long l = 2 * v + 1, r = l + 1;
+    double *lo = t->lo + v * d, *hi = t->hi + v * d;
+    const double *llo = t->lo + l * d, *lhi = t->hi + l * d;
+    const double *rlo = t->lo + r * d, *rhi = t->hi + r * d;
+    int moved = 0;
+    for (long long j = 0; j < d; ++j) {
+        double a, b;
+        if (t->count[l] == 0) {
+            a = rlo[j];
+            b = rhi[j];
+        } else if (t->count[r] == 0) {
+            a = llo[j];
+            b = lhi[j];
+        } else {
+            a = llo[j] < rlo[j] ? llo[j] : rlo[j];
+            b = lhi[j] > rhi[j] ? lhi[j] : rhi[j];
+        }
+        moved |= a != lo[j] || b != hi[j];
+        lo[j] = a;
+        hi[j] = b;
+    }
+    return moved;
+}
+
+/* Mark the m live records rec[0..m) dead (the caller checks they are live
+ * and distinct), keeping the counts and boxes exact. */
+void repro_live_kill(live_tree *t, const long long *restrict rec, long long m)
+{
+    const long long d = t->d, n = t->n, n_inner = t->n_inner;
+    for (long long i = 0; i < m; ++i) {
+        long long s = t->slot[rec[i]], a = 0, b = n_inner + 1;
+        t->alive[s] = 0;
+        /* The leaf holding slot s: the last one starting at or before it. */
+        while (b - a > 1) {
+            long long mid = a + (b - a) / 2;
+            if (t->leaf_bounds[mid] <= s)
+                a = mid;
+            else
+                b = mid;
+        }
+        long long leaf = n_inner + a, v = leaf;
+        for (;;) {
+            --t->count[v];
+            if (v == 0)
+                break;
+            v = (v - 1) / 2;
+        }
+        int moved = t->count[leaf] == 0;
+        double *lo = t->lo + leaf * d, *hi = t->hi + leaf * d;
+        int on_face = 0;
+        for (long long j = 0; j < d; ++j) {
+            double c = t->cols[j * n + s];
+            on_face |= c == lo[j] || c == hi[j];
+        }
+        /* A record strictly inside its leaf's box leaves the box as is. */
+        if (!moved && on_face) {
+            long long p0 = t->leaf_bounds[a], p1 = t->leaf_bounds[a + 1];
+            for (long long j = 0; j < d; ++j) {
+                const double *c = t->cols + j * n;
+                double mn = INFINITY, mx = -INFINITY;
+                for (long long p = p0; p < p1; ++p) {
+                    if (!t->alive[p])
+                        continue;
+                    if (c[p] < mn)
+                        mn = c[p];
+                    if (c[p] > mx)
+                        mx = c[p];
+                }
+                moved |= mn != lo[j] || mx != hi[j];
+                lo[j] = mn;
+                hi[j] = mx;
+            }
+        }
+        for (v = leaf; moved && v > 0;) {
+            v = (v - 1) / 2;
+            moved = t->count[v] == 0 || refit_inner(t, v);
+        }
+    }
 }
 
 /* ---- Algorithm 2's swap refinement, exact integers ----------------------
@@ -641,12 +1088,63 @@ def _address(a: np.ndarray) -> int:
 
 
 class Native(NamedTuple):
-    """The library's four bound entry points (see :func:`load`)."""
+    """The library's bound entry points (see :func:`load`)."""
 
     kd_nearest: Callable
     alg2_refine: Callable
     sq_distances: Callable
     k_nearest: Callable
+    live_k_nearest: Callable
+    live_farthest: Callable
+    live_at_or_above: Callable
+    live_kill: Callable
+
+
+class LiveHandle(ctypes.Structure):
+    """A :class:`~repro.backend.kernels.LiveTree`'s arrays by address, as
+    the ``repro_live_*`` entry points take them (their ``live_tree``)."""
+
+    _fields_ = [
+        ("n", ctypes.c_longlong),
+        ("d", ctypes.c_longlong),
+        ("n_inner", ctypes.c_longlong),
+        ("cols", ctypes.c_void_p),
+        ("ids", ctypes.c_void_p),
+        ("slot", ctypes.c_void_p),
+        ("leaf_bounds", ctypes.c_void_p),
+        ("lo", ctypes.c_void_p),
+        ("hi", ctypes.c_void_p),
+        ("count", ctypes.c_void_p),
+        ("alive", ctypes.c_void_p),
+    ]
+
+
+def live_handle(tree) -> LiveHandle:
+    """Bind a :class:`~repro.backend.kernels.LiveTree` once.
+
+    The queries then take ``ctypes.addressof`` of the result; the caller
+    keeps both the handle and ``tree`` (whose arrays it points into)
+    alive while it queries.
+    """
+    d, n = tree.cols.shape
+    return LiveHandle(
+        n,
+        d,
+        len(tree.leaf_bounds) - 2,
+        *(
+            _address(a)
+            for a in (
+                tree.cols,
+                tree.ids,
+                tree.slot,
+                tree.leaf_bounds,
+                tree.lo,
+                tree.hi,
+                tree.count,
+                tree.alive,
+            )
+        ),
+    )
 
 
 def _bind_kd(fn):
@@ -775,6 +1273,46 @@ def _bind_k_nearest(fn):
     return select
 
 
+def _bind_live(knn, farthest, at_or_above, kill):
+    """The raw live-index entry points, over a bound tree's address.
+
+    ``tree`` is ``ctypes.addressof`` of a :func:`live_handle`; ``point``
+    a contiguous float64 array of the tree's width.  The caller
+    guarantees the rest (the live index owns every array it passes):
+
+    * ``k_nearest(tree, point, k, out_id, out_d2)`` writes the k live
+      records with the smallest (distance, id), in that order, with their
+      squared distances, into int64 / float64 buffers at least
+      ``min(k, live)`` long, and returns how many;
+    * ``farthest(tree, point, margin, out)`` returns the farthest live
+      record, the lowest id on ties (or -1 with none live), with its
+      squared distance in ``out[0]`` and the largest of the other scored
+      records' in ``out[1]``; with ``margin > 0`` every record within
+      ``margin * (1 + top)`` of the maximum ``top`` is scored, so
+      ``out[1]`` reaches that floor exactly when a second record does;
+    * ``at_or_above(tree, point, least, out, cap)`` writes the first
+      ``cap`` ids, in tree order, of the live records at squared distance
+      ``>= least`` and returns how many there are in all;
+    * ``kill(tree, ids)`` marks the live, distinct int64 ``ids`` dead.
+
+    Each query returns -1 for a point with a NaN coordinate.
+    """
+
+    def k_nearest(tree, point, k, out_id, out_d2):
+        return knn(tree, _address(point), k, _address(out_id), _address(out_d2))
+
+    def far(tree, point, margin, out):
+        return farthest(tree, _address(point), margin, _address(out))
+
+    def band(tree, point, least, out, cap):
+        return at_or_above(tree, _address(point), least, _address(out), cap)
+
+    def retire(tree, ids):
+        kill(tree, _address(ids), ids.size)
+
+    return k_nearest, far, band, retire
+
+
 def _check_kd(query) -> bool:
     """The kd query must be bit-for-bit the numpy kernel on tie-heavy data.
 
@@ -900,14 +1438,95 @@ def _check_k_nearest(select) -> bool:
     return True
 
 
+def _runner_ok(d2: np.ndarray, out: np.ndarray, margin: float) -> bool:
+    """Whether a farthest query's runner-up ``out[1]`` says right if the
+    band within ``margin`` of the maximum holds a second record, and is
+    that record's distance when it does."""
+    top = out[0]
+    least = top if top == np.inf else top - margin * (1.0 + abs(top))
+    band = np.sort(d2[d2 >= least])
+    if band.size < 2:
+        return not out[1] >= least
+    return out[1] == band[-2]
+
+
+def _check_live(native: Native) -> bool:
+    """The live index must make the scan engine's selections.
+
+    64 records on a half-integer grid with a run of duplicated rows and a
+    row of 1e200 (whose distances overflow to inf, so they tie), indexed
+    at forced depths of 5 (leaves of two) and 2.  Clusters of eight are
+    killed from the outside in, as MDAV carves them, emptying leaves and
+    shrinking boxes; after every kill, from the first live record and
+    from the 1e200 row (live, then dead), the k-nearest query (k = 1, 5
+    and past the live count), the farthest query (with band margins of 0,
+    1e-6 and 0.25, and its runner-up) and the band query must give the
+    ids and distances of the spec: a stable sort, ``argmax`` and a
+    threshold over the canonical distances of the live records.
+    """
+    from . import kernels
+
+    rng = np.random.default_rng(0)
+    X = np.round(rng.standard_normal((64, 2)) * 2.0) / 2.0
+    X[40:48] = X[3]
+    X[9] = 1e200
+    scratch = np.empty(64)
+
+    def distances(live, point):
+        d2 = np.empty(live.size)
+        with np.errstate(over="ignore"):
+            kernels.sq_distances_block(X[live].T, point, d2, scratch, 0, live.size)
+        return d2
+
+    for depth in (5, 2):
+        tree = kernels.build_live_tree(X, depth)
+        handle = live_handle(tree)
+        addr = ctypes.addressof(handle)
+        alive = np.ones(64, dtype=bool)
+        while alive.any():
+            live = np.flatnonzero(alive)
+            for point in (X[live[0]], X[9]):
+                d2 = distances(live, point)
+                order = np.argsort(d2, kind="stable")
+                for k in (1, 5, live.size + 1):
+                    m = min(k, live.size)
+                    ids, dist = np.empty(m, dtype=np.int64), np.empty(m)
+                    got = native.live_k_nearest(addr, point, k, ids, dist)
+                    if got != m or not (
+                        np.array_equal(ids, live[order[:m]])
+                        and np.array_equal(dist, d2[order[:m]])
+                    ):
+                        return False
+                top = np.empty(2)
+                for margin in (0.0, 1e-6, 0.25):
+                    got = native.live_farthest(addr, point, margin, top)
+                    if got != live[np.argmax(d2)] or top[0] != d2.max():
+                        return False
+                    if margin and not _runner_ok(d2, top, margin):
+                        return False
+                for least in (d2.max(), d2[order[live.size // 2]]):
+                    out = np.empty(live.size, dtype=np.int64)
+                    got = native.live_at_or_above(addr, point, least, out, live.size)
+                    if not np.array_equal(np.sort(out[:got]), live[d2 >= least]):
+                        return False
+            # The next cluster: the eight records nearest the one farthest
+            # from the first live record.
+            far = X[live[np.argmax(distances(live, X[live[0]]))]]
+            carve = live[kernels.k_smallest_indices(distances(live, far), 8)]
+            native.live_kill(addr, carve)
+            alive[carve] = False
+    return True
+
+
 def _self_check(native: Native) -> bool:
     """Every entry point must equal its spec (kd query, refinement,
-    distance scan, k-nearest selection)."""
+    distance scan, k-nearest selection, the live index's queries)."""
     return (
         _check_kd(native.kd_nearest)
         and _check_refine(native.alg2_refine)
         and _check_sq(native.sq_distances)
         and _check_k_nearest(native.k_nearest)
+        and _check_live(native)
     )
 
 
@@ -915,11 +1534,16 @@ def load() -> Native | None:
     """Return the compiled entry points, or ``None``.
 
     The single entry point that builds (or reuses) the shared library;
-    the result (including failure) is memoized for the process lifetime.
-    ``kd_nearest`` is ``query(rows, index, assignment, best_d2)`` (see
-    :func:`_bind_kd`; ctypes ndpointer argtypes enforce every array's
-    dtype and contiguity) and ``alg2_refine`` is
-    ``refine(frame, members, pool, budget)`` (see :func:`_bind_refine`).
+    the result (including failure, and a library the self-check
+    rejects) is memoized for the process lifetime.  ``kd_nearest`` is
+    ``query(rows, index, assignment, best_d2)`` (see :func:`_bind_kd`;
+    ctypes ndpointer argtypes enforce every array's dtype and
+    contiguity), ``alg2_refine`` is ``refine(frame, members, pool,
+    budget)`` (see :func:`_bind_refine`), ``sq_distances`` and
+    ``k_nearest`` are the engine's scans (:func:`_bind_sq`,
+    :func:`_bind_k_nearest`) and the four ``live_*`` fields are the live
+    index's queries and kill over a :func:`live_handle` (see
+    :func:`_bind_live`).
     """
     global _cached
     if _cached is not _UNSET:
@@ -982,11 +1606,24 @@ def load() -> Native | None:
         k_nearest = lib.repro_k_nearest
         k_nearest.argtypes = [c_void_p, c_void_p, c_int64, c_int64, c_void_p]
         k_nearest.restype = c_int64
+        live_knn = lib.repro_live_k_nearest
+        live_knn.argtypes = [c_void_p, c_void_p, c_int64, c_void_p, c_void_p]
+        live_knn.restype = c_int64
+        live_far = lib.repro_live_farthest
+        live_far.argtypes = [c_void_p, c_void_p, ctypes.c_double, c_void_p]
+        live_far.restype = c_int64
+        live_band = lib.repro_live_at_or_above
+        live_band.argtypes = [c_void_p, c_void_p, ctypes.c_double, c_void_p, c_int64]
+        live_band.restype = c_int64
+        live_kill = lib.repro_live_kill
+        live_kill.argtypes = [c_void_p, c_void_p, c_int64]
+        live_kill.restype = None
         native = Native(
             _bind_kd(kd),
             _bind_refine(refine),
             _bind_sq(sq),
             _bind_k_nearest(k_nearest),
+            *_bind_live(live_knn, live_far, live_band, live_kill),
         )
         if not _self_check(native):
             return None

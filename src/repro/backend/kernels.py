@@ -57,13 +57,23 @@ Whether to split at all is decided from the matrix's shape alone
 or so many columns that every box reaches every query — the index is a
 single leaf, and the query is the brute scan.
 
+The same tree, built over a fit's records and split by the same rule, is
+the live index MDAV, V-MDAV and Algorithm 2 select from: a
+:class:`LiveTree` adds per-node live counts and boxes that the compiled
+kill refits to the live records, and its queries (the k nearest, the
+farthest, the records at or above a distance) follow the selection rule
+above — canonical distances, conservative bounds, strict pruning, the
+lowest id on ties.
+
 This module deliberately imports nothing from the rest of the library
 (the distance layer and the compute backend both sit on top of it) —
 the one exception is its private sibling :mod:`repro.backend._native`,
 whose compiled kd query, distance scan and k-nearest selection are
 admitted only after a load-time differential self-check proves them
-bitwise equal to the numpy specs defined here (its fourth entry point,
-Algorithm 2's refinement, has its spec in :mod:`repro.core.confidential`).
+bitwise equal to the numpy specs defined here (Algorithm 2's refinement
+has its spec in :mod:`repro.core.confidential`, and the live index's
+queries are checked against the selections of these specs over the live
+records).
 """
 
 from __future__ import annotations
@@ -288,14 +298,18 @@ def _build_tree(reps: np.ndarray, depth: int) -> NearestIndex:
             break
         # Sort key: the node number plus the point's position in
         # [0, 0.5] along its node's widest column, so one sort orders
-        # every node's points without mixing nodes.
+        # every node's points without mixing nodes.  Widths and offsets
+        # are taken of halved coordinates (exact, barring subnormals), so
+        # a column spanning more than the float range gives a ratio in
+        # [0, 1] instead of inf / inf = NaN, which sorts last and mixes
+        # the nodes.
         nodes = np.arange(len(starts))
-        column = np.argmax(his[-1] - los[-1], axis=1)
-        low = los[-1][nodes, column]
-        spread = his[-1][nodes, column] - low
+        column = np.argmax(his[-1] * 0.5 - los[-1] * 0.5, axis=1)
+        low = los[-1][nodes, column] * 0.5
+        spread = his[-1][nodes, column] * 0.5 - low
         spread[spread == 0] = 1.0
         node_of = np.repeat(nodes, sizes)
-        offset = pts[np.arange(n), column[node_of]] - low[node_of]
+        offset = pts[np.arange(n), column[node_of]] * 0.5 - low[node_of]
         perm = perm[np.argsort(node_of + 0.5 * (offset / spread[node_of]))]
         half = sizes // 2
         starts = np.column_stack([starts, starts + half]).ravel()
@@ -307,6 +321,66 @@ def _build_tree(reps: np.ndarray, depth: int) -> NearestIndex:
         lo=np.concatenate(los),
         hi=np.concatenate(his),
         leaf_bounds=np.append(starts, n).astype(np.int64),
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class LiveTree:
+    """A kd-tree over all n records that tracks which are still live.
+
+    Built by :func:`build_live_tree`; the tree of a :class:`NearestIndex`
+    plus the state that :mod:`repro.backend._native`'s ``repro_live_kill``
+    updates in place: per-node live counts, per-slot liveness, and boxes
+    refit to the live records.  The live index of
+    :mod:`repro.microagg.engine` owns one per fit and is its only writer.
+
+    Attributes
+    ----------
+    cols, ids, leaf_bounds:
+        As :class:`NearestIndex`'s ``repcols``, ``ids`` and
+        ``leaf_bounds``: the ``(d, n)`` records in leaf order, each slot's
+        record id, and the slots of every leaf.
+    slot:
+        ``(n,)`` slot of each record id (the inverse of ``ids``).
+    lo, hi:
+        ``(n_nodes, d)`` boxes in heap order; a node holding live records
+        has exactly their bounding box.
+    count:
+        ``(n_nodes,)`` live records per node.
+    alive:
+        ``(n,)`` ``uint8`` liveness by slot.
+    """
+
+    cols: np.ndarray
+    ids: np.ndarray
+    slot: np.ndarray
+    leaf_bounds: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    count: np.ndarray
+    alive: np.ndarray
+
+
+def build_live_tree(X: np.ndarray, depth: int) -> LiveTree:
+    """Index the rows of ``X`` (finite, 2-D, C-contiguous float64, at
+    least one column) in a :func:`_build_tree` of ``depth`` levels, every
+    record live."""
+    tree = _build_tree(X, depth)
+    n = X.shape[0]
+    slot = np.empty(n, dtype=np.int64)
+    slot[tree.ids] = np.arange(n, dtype=np.int64)
+    levels = [np.diff(tree.leaf_bounds)]
+    while levels[-1].size > 1:
+        levels.append(levels[-1].reshape(-1, 2).sum(axis=1))
+    return LiveTree(
+        cols=tree.repcols,
+        ids=tree.ids,
+        slot=slot,
+        leaf_bounds=tree.leaf_bounds,
+        lo=tree.lo,
+        hi=tree.hi,
+        count=np.concatenate(levels[::-1]),
+        alive=np.ones(n, dtype=np.uint8),
     )
 
 

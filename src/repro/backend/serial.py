@@ -14,8 +14,13 @@ Each primitive runs a compiled entry point of :mod:`repro.backend._native`
 when the library loaded (the distance scan, the refinement, the kd query),
 and its numpy or Python spec otherwise (``REPRO_NO_NATIVE=1``, no
 compiler, or a layout the C signature does not take).  The library's
-fourth entry point, the engine's k-nearest selection, is not a seam: it
-is reached through :func:`~repro.backend.kernels.k_nearest_live`.
+other entry points are not seams: the engine's k-nearest selection is
+reached through :func:`~repro.backend.kernels.k_nearest_live`, and the
+live index that MDAV, V-MDAV and Algorithm 2 select from
+(:class:`~repro.microagg.engine.LiveIndex`) queries its own tree, so a
+substituted backend sees the distance evaluations of the scan engine
+only (Algorithm 3, the merge phase's partner search, and fits the live
+index does not take).
 
 The paper's algorithms are sequential greedy loops — each cluster, swap
 and merge depends on what the previous step removed — so one step is a

@@ -24,14 +24,18 @@ result; with ``merge_fallback=False`` the raw Section-6 behaviour is
 exposed for study.
 
 Checkpoints record decisions, not engine state.  After any prefix of the
-loop, the clustering engine is a function of the clusters carved so far,
-in order: a resumed fit kills them in order on a fresh engine, which
-replays its running sum, compactions and dead list bitwise, and when the
-next cluster seeds from the distance buffer (odd parity) it refills the
-buffer from the last cluster's seed.
+loop, the live set is a function of the clusters carved so far, in order:
+a resumed fit kills them in order on a fresh one, which replays its
+running sum (and the scan engine's compactions and dead list) bitwise,
+and when the next cluster seeds farthest from the last cluster's seed
+(odd parity) it passes that seed's row to the query.
 
-Cost: O(n^2/k) when no swaps are needed, O(n^3/k) worst case — the paper's
-Figure 5 shows exactly this gap, and the benchmark harness reproduces it.
+Cost: the paper's loop is O(n^2/k) when no swaps are needed and O(n^3/k)
+worst case — Figure 5 shows exactly this gap, and the benchmark harness
+reproduces it.  On the live index (:func:`~repro.microagg.engine.live_set`)
+each seeding query and pool chunk scores only the kd leaves its bounds
+cannot rule out instead of every unclustered record; the swap
+refinement is unchanged.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import numpy as np
 from ..backend import SerialBackend, resolve_backend
 from ..data.dataset import Microdata
 from ..distance.records import encode_mixed
-from ..microagg.engine import ClusteringEngine
+from ..microagg.engine import ClusteringEngine, LiveIndex, live_set
 from ..microagg.partition import Partition
 from ..registry import register_method
 from ..runtime import faults
@@ -58,19 +62,23 @@ from .merge import merge_to_t_closeness
 
 
 def _pool_end(end: int, total: int) -> int:
-    """The next pool prefix length: at least 64 more records, else double.
+    """The next pool prefix length: at least 16 more records, else double.
 
     The refinement usually consumes a handful of pool records before the
-    cluster reaches t, so the pool — the live records in stable
-    (distance to the seed, id) order — is materialized in geometrically
-    growing prefixes (:meth:`ClusteringEngine.k_nearest`, bitwise
-    the matching slice of a full stable sort) rather than sorted whole.
+    cluster reaches t (a mean of 4 to 5 per cluster, 99% of clusters at
+    most 16 to 20, on the 20k-record benchmark tables at k=5, t=0.1), so
+    the pool — the live records in stable (distance to the seed, id)
+    order — is materialized in geometrically growing prefixes (the live
+    set's ``k_nearest``, bitwise the matching slice of a full stable
+    sort) rather than sorted whole; for k = 5 the first holds the cluster
+    and 16 candidates.  Where the chunks end changes no decision: each
+    refinement call resumes at the next unconsumed candidate.
     """
-    return min(total, max(end + 64, 2 * end))
+    return min(total, max(end + 16, 2 * end))
 
 
 def _generate_cluster(
-    engine: ClusteringEngine,
+    engine: LiveIndex | ClusteringEngine,
     seed_record: int,
     frame: SwapFrame,
     backend: SerialBackend | str | None = None,
@@ -84,8 +92,8 @@ def _generate_cluster(
     Parameters
     ----------
     engine:
-        Clustering engine whose live set is the unclustered records (must
-        contain ``seed_record``).
+        The live set of unclustered records (must contain
+        ``seed_record``): a live index or the scan engine.
     seed_record:
         The extreme record the cluster grows around.
     frame:
@@ -249,19 +257,21 @@ def kanonymity_first(
     frame = model.swap_frame(k, t)
 
     backend = resolve_backend(backend)
-    engine = ClusteringEngine(X, backend=backend)
+    engine = live_set(X, backend=backend)
     clusters: list[np.ndarray] = []
     total_swaps = 0
     # Seed-selection parity: even clusters seed on the record farthest
-    # from the live centroid, odd clusters reuse the distance buffer the
-    # previous seeding filled (``engine.farthest()``) — the same x0/x1
+    # from the live centroid, odd clusters on the record farthest from the
+    # previous cluster's seed (``engine.farthest()``) — the same x0/x1
     # alternation as the paper's loop, restructured one-cluster-per-
     # iteration so a checkpoint can land between any two clusters.
     parity = 0
     # The current cluster's seed; between clusters, the last cluster's,
-    # whose distances the distance buffer still holds.
+    # which is the live set's last query point.
     seed = -1
     resume_cluster: dict | None = None
+    # A resumed odd cluster seeds farthest from the last cluster's seed.
+    refill: np.ndarray | None = None
 
     def outer_state() -> dict:
         return {
@@ -276,9 +286,9 @@ def kanonymity_first(
 
     saved = progress.load("alg2") if progress is not None else None
     if saved is not None:
-        # The engine is a function of the clusters carved so far: killing
-        # them in order replays its running sum, compactions and dead list
-        # bitwise.
+        # The live set is a function of the clusters carved so far:
+        # killing them in order replays its running sum (and the scan
+        # engine's compactions and dead list) bitwise.
         flat = np.asarray(saved["flat"], dtype=np.int64)
         offset = 0
         for length in np.asarray(saved["lengths"], dtype=np.int64):
@@ -289,9 +299,8 @@ def kanonymity_first(
         parity = int(saved["meta"]["parity"])
         seed = int(saved["meta"]["seed"])
         resume_cluster = saved.get("cluster")
-        if resume_cluster is None and parity == 1 and engine.n_alive:
-            # An odd cluster seeds from the buffer the last seeding filled.
-            engine.eval_distances(engine.row(seed))
+        if resume_cluster is None and parity == 1:
+            refill = engine.row(seed)
 
     while engine.n_alive:
         # A mid-refinement snapshot re-enters the refinement around its
@@ -302,9 +311,10 @@ def kanonymity_first(
             if parity == 0:
                 seed = engine.farthest_from_centroid()
             else:
-                # The buffer still holds the distances evaluated while
-                # seeding the previous cluster; reuse them for the next seed.
-                seed = engine.farthest()
+                # The last query point is the previous cluster's seed;
+                # reuse it for the next seed.
+                seed = engine.farthest(refill)
+                refill = None
         members, swaps = _generate_cluster(
             engine,
             seed,

@@ -50,9 +50,24 @@ class Partition:
         if raw.min() < 0:
             raise PartitionError("labels must be non-negative")
         # Relabel to contiguous ids in order of first appearance.
-        _, first_pos, inverse = np.unique(raw, return_index=True, return_inverse=True)
-        order = np.argsort(np.argsort(first_pos))
-        self._labels = order[inverse].astype(np.int64)
+        n = raw.size
+        top = int(raw.max())
+        if top < n:
+            # Labels below n (every partitioner's): each label's first
+            # position by one scatter-min, then each position's count of
+            # clusters opened at or before it; no sort.
+            first = np.full(top + 1, n, dtype=np.intp)
+            np.minimum.at(first, raw, np.arange(n))
+            opens = np.zeros(n, dtype=np.int64)
+            opens[first[first < n]] = 1
+            self._labels = (np.cumsum(opens) - 1)[first[raw]]
+        else:
+            # Sparse labels: nothing proportional to the largest value.
+            _, first_pos, inverse = np.unique(
+                raw, return_index=True, return_inverse=True
+            )
+            order = np.argsort(np.argsort(first_pos))
+            self._labels = order[inverse].astype(np.int64)
         self._n_clusters = int(self._labels.max()) + 1
         self._members: list[np.ndarray] | None = None
 

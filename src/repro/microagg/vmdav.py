@@ -13,12 +13,15 @@ The paper's evaluation uses plain MDAV; V-MDAV is provided as the natural
 ablation for the choice of base partitioner (see
 ``benchmarks/bench_ablation_partitioner.py``).
 
-The scan for the best extension candidate — the O(n) step of every
-extension — runs on :class:`~repro.microagg.engine.ClusteringEngine`;
-current members are killed as soon as they are chosen, so "the records
-outside the cluster" is simply the engine's live set.  The small exact
-cluster statistics (member centroid, mean intra-cluster distance) are
-computed directly on the k-or-so member rows, bit-for-bit as before.
+The search for the best extension candidate — an O(n) scan of every
+extension, done directly — runs on the live set
+:func:`~repro.microagg.engine.live_set` hands it: a nearest query on the
+live index (the few leaves its bounds cannot rule out), or a scan of
+the scan engine's window.  Current members are killed as soon as they are
+chosen, so "the records outside the cluster" is simply the live set.  The
+small exact cluster statistics (member centroid, mean intra-cluster
+distance) are computed directly on the k-or-so member rows, bit-for-bit
+as before.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from ..backend import SerialBackend
 from ..distance.records import sq_distances_to
 from ..registry import register_partitioner
-from .engine import ClusteringEngine
+from .engine import live_set
 from .partition import Partition
 
 
@@ -65,7 +68,7 @@ def vmdav(
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
 
-    engine = ClusteringEngine(X, backend=backend)
+    engine = live_set(X, backend=backend)
     labels = np.full(n, -1, dtype=np.int64)
     next_label = 0
 

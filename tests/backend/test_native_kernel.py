@@ -13,13 +13,21 @@ engine's distance scan (``kernels.sq_distances_block``) and its k-nearest
 selection (``kernels._k_nearest_live_numpy``, the lowest (distance,
 position) first): dead rows, duplicate rows, half-integer grids, k = 1
 to past the live count, windows shorter than the buffer, and the
-load-time self-check rejecting a scan or a selection that is off.
+load-time self-check rejecting a scan or a selection that is off.  And
+for the live index's four entry points (``kernels.build_live_tree``):
+k-nearest, farthest and band queries equal the lowest-id selections over
+the live records' canonical distances through kills that empty leaves
+and shrink boxes, at every forced depth, with counts and boxes exact
+after every kill, squares overflowing to inf and NaN points declined; a
+binding that breaks ties upward is rejected at load and fits fall back
+to the scan engine.
 
 When the host has no usable compiler the fast-path tests skip (the
 fallback behaviour and index-build tests still run): the library must
 work identically, just slower.
 """
 
+import ctypes
 import sys
 import threading
 
@@ -29,7 +37,8 @@ import pytest
 from repro.backend import SerialBackend, _native, kernels
 from repro.core.confidential import SwapFrame
 from repro.distance.emd import OrderedEMDFrame
-from repro.microagg import ClusteringEngine
+from repro.microagg import ClusteringEngine, mdav
+from repro.microagg.engine import live_set
 
 from ..contexts import CONTEXTS
 
@@ -320,6 +329,23 @@ class TestIndexBuild:
             np.testing.assert_array_equal(index.lo[node], pts.min(axis=0))
             np.testing.assert_array_equal(index.hi[node], pts.max(axis=0))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e307, 1.7e308])
+    def test_boxes_hold_their_points_near_the_float_range(self, scale):
+        # Columns spanning more than the largest float (-1.7e308 .. 1.7e308)
+        # must still split without mixing nodes: every node's box is the
+        # box of the points under it.
+        rng = np.random.default_rng(31)
+        reps = rng.integers(-1, 2, size=(64, 2)) * scale
+        index = kernels._build_tree(reps, 5)
+        depth = 5
+        for node in range(len(index.lo)):
+            level = (node + 1).bit_length() - 1
+            first = (node + 1 - 2**level) * 2 ** (depth - level)
+            lo_leaf, hi_leaf = first, first + 2 ** (depth - level)
+            pts = reps[index.ids[index.leaf_bounds[lo_leaf] : index.leaf_bounds[hi_leaf]]]
+            np.testing.assert_array_equal(index.lo[node], pts.min(axis=0))
+            np.testing.assert_array_equal(index.hi[node], pts.max(axis=0))
+
     def test_depth_beyond_one_rep_per_leaf_is_rejected(self):
         with pytest.raises(ValueError):
             kernels._build_tree(np.zeros((5, 2)), 3)
@@ -492,6 +518,176 @@ class TestEngineScans:
             kernels.k_nearest_live(d2, alive, 6, 0)
 
 
+def upward(k_nearest):
+    """A live k-nearest binding that orders equal distances by descending
+    id: the right records, the wrong tie order."""
+
+    def broken(tree, point, k, out_id, out_d2):
+        got = k_nearest(tree, point, k, out_id, out_d2)
+        order = np.lexsort((-out_id[:got], out_d2[:got]))
+        out_id[:got], out_d2[:got] = out_id[:got][order], out_d2[:got][order]
+        return got
+
+    return broken
+
+
+class LiveSpec:
+    """A live tree beside the spec it must equal: the live records,
+    ascending, and their canonical distances from a point."""
+
+    def __init__(self, X, depth):
+        self.X = X
+        self.tree = kernels.build_live_tree(X, depth)
+        self.handle = _native.live_handle(self.tree)
+        self.addr = ctypes.addressof(self.handle)
+        self.alive = np.ones(len(X), dtype=bool)
+
+    def kill(self, ids):
+        ids = np.asarray(ids, dtype=np.int64)
+        _native.load().live_kill(self.addr, ids)
+        self.alive[ids] = False
+
+    def spec(self, point):
+        live = np.flatnonzero(self.alive)
+        return live, kernels_distances(self.X[live], point)
+
+    def assert_queries_equal_the_spec(self, point):
+        native = _native.load()
+        live, d2 = self.spec(point)
+        order = np.lexsort((live, d2))
+        for k in {1, 2, max(live.size - 1, 1), max(live.size, 1), live.size + 3}:
+            m = min(k, live.size)
+            ids, dist = np.full(m, -7, dtype=np.int64), np.empty(m)
+            assert native.live_k_nearest(self.addr, point, k, ids, dist) == m
+            np.testing.assert_array_equal(ids, live[order[:m]])
+            np.testing.assert_array_equal(dist, d2[order[:m]])
+        top = np.empty(2)
+        for margin in (0.0, 1e-6, 0.3):
+            got = native.live_farthest(self.addr, point, margin, top)
+            if not live.size:
+                assert got == -1
+                return
+            assert got == live[np.argmax(d2)]  # the lowest id at the maximum
+            assert top[0] == d2.max()
+            if margin:
+                # The runner-up reaches the band floor exactly when the
+                # band holds a second record, and is then its distance.
+                least = top[0] if top[0] == np.inf else top[0] - margin * (1 + top[0])
+                band = np.sort(d2[d2 >= least])
+                if band.size > 1:
+                    assert top[1] == band[-2]
+                else:
+                    assert not top[1] >= least
+        for least in (d2.max(), np.median(d2), d2.min(), -np.inf, np.inf):
+            out = np.empty(live.size + 1, dtype=np.int64)
+            found = native.live_at_or_above(self.addr, point, least, out, live.size + 1)
+            np.testing.assert_array_equal(np.sort(out[:found]), live[d2 >= least])
+            # A short output buffer still counts every record in the band.
+            assert native.live_at_or_above(self.addr, point, least, out, 1) == found
+
+    def assert_counts_and_boxes_exact(self):
+        """Every node's live count, and every non-empty node's box, is
+        that of the live records below it."""
+        tree = self.tree
+        depth = (len(tree.leaf_bounds) - 1).bit_length() - 1
+        for node in range(len(tree.count)):
+            level = (node + 1).bit_length() - 1
+            first = (node + 1 - 2**level) * 2 ** (depth - level)
+            slots = np.arange(
+                tree.leaf_bounds[first], tree.leaf_bounds[first + 2 ** (depth - level)]
+            )
+            live = tree.ids[slots][self.alive[tree.ids[slots]]]
+            assert tree.count[node] == live.size
+            np.testing.assert_array_equal(tree.alive[slots], self.alive[tree.ids[slots]])
+            if live.size:
+                np.testing.assert_array_equal(tree.lo[node], self.X[live].min(axis=0))
+                np.testing.assert_array_equal(tree.hi[node], self.X[live].max(axis=0))
+
+
+def tie_heavy_table(rng, n, d, kind):
+    if kind == "grid":
+        return half_grid(rng, (n, d))
+    if kind == "ints":
+        return rng.integers(0, 3, size=(n, d)).astype(np.float64)
+    X = rng.standard_normal((n, d))
+    X[n // 2 :] = X[: n - n // 2]  # every row duplicated
+    return X
+
+
+@native_only
+class TestLiveIndex:
+    """The live index's four entry points against the scan engine's
+    rules (lowest id on exact ties), through kills that empty leaves and
+    shrink boxes, at every forced depth."""
+
+    @pytest.mark.parametrize("kind", ["grid", "ints", "dups"])
+    def test_queries_through_kills_at_every_depth(self, kind):
+        rng = np.random.default_rng({"grid": 60, "ints": 61, "dups": 62}[kind])
+        for _ in range(6):
+            n, d = int(rng.integers(2, 90)), int(rng.integers(1, 4))
+            X = np.ascontiguousarray(tie_heavy_table(rng, n, d, kind))
+            for depth in range(int(np.log2(n)) + 1):
+                live = LiveSpec(X, depth)
+                while live.alive.any():
+                    ids = np.flatnonzero(live.alive)
+                    for point in (X[ids[0]], X[rng.integers(n)], half_grid(rng, d)):
+                        live.assert_queries_equal_the_spec(point)
+                    live.kill(rng.choice(ids, min(ids.size, int(rng.integers(1, 6))), replace=False))
+                    live.assert_counts_and_boxes_exact()
+                live.assert_queries_equal_the_spec(X[0])  # nothing live
+
+    def test_whole_leaves_emptied_from_the_outside_in(self):
+        # MDAV's order: each batch is the records nearest the one farthest
+        # from the centroid, so boxes shrink toward the middle.
+        rng = np.random.default_rng(63)
+        X = np.ascontiguousarray(half_grid(rng, (200, 3)))
+        live = LiveSpec(X, 6)
+        while live.alive.any():
+            ids, d2 = live.spec(X[live.alive].mean(axis=0))
+            far = X[ids[np.argmax(d2)]]
+            ids, d2 = live.spec(far)
+            live.kill(ids[np.lexsort((ids, d2))[:7]])
+            live.assert_counts_and_boxes_exact()
+            if live.alive.any():
+                live.assert_queries_equal_the_spec(far)
+                live.assert_queries_equal_the_spec(X[live.alive].mean(axis=0))
+        assert (live.tree.count == 0).all()
+
+    def test_squares_overflowing_to_inf_tie(self):
+        rng = np.random.default_rng(64)
+        X = half_grid(rng, (40, 2))
+        X[[3, 17]] = 1e200
+        X[25] = -1e200
+        X = np.ascontiguousarray(X)
+        live = LiveSpec(X, 4)
+        with np.errstate(over="ignore"):
+            for point in (X[3], X[25], X[0], np.array([1e200, -1e200])):
+                live.assert_queries_equal_the_spec(point)
+            live.kill([3, 0, 9])
+            for point in (X[3], X[17], X[25]):
+                live.assert_queries_equal_the_spec(point)
+                live.assert_counts_and_boxes_exact()
+
+    def test_nan_point_declines(self):
+        X = np.ascontiguousarray(half_grid(np.random.default_rng(65), (20, 2)))
+        live = LiveSpec(X, 2)
+        native = _native.load()
+        point = np.array([0.5, np.nan])
+        ids, dist, top = np.empty(3, dtype=np.int64), np.empty(3), np.empty(2)
+        assert native.live_k_nearest(live.addr, point, 3, ids, dist) == -1
+        assert native.live_farthest(live.addr, point, 1e-6, top) == -1
+        assert native.live_at_or_above(live.addr, point, 0.0, ids, 3) == -1
+
+    def test_build_starts_with_every_record_live(self):
+        rng = np.random.default_rng(66)
+        X = np.ascontiguousarray(half_grid(rng, (77, 3)))
+        for depth in (0, 1, 3, 6):
+            live = LiveSpec(X, depth)
+            assert live.tree.count[0] == 77
+            np.testing.assert_array_equal(live.tree.ids[live.tree.slot], np.arange(77))
+            live.assert_counts_and_boxes_exact()
+
+
 @native_only
 class TestAddressFallbacks:
     """The bindings read an array's address through ``ctypes.c_char
@@ -613,6 +809,22 @@ class TestSelfCheck:
 
         assert not _native._self_check(_native.load()._replace(k_nearest=upward))
 
+    def test_self_check_rejects_a_live_query_breaking_ties_upward(self):
+        native = _native.load()
+        broken = native._replace(live_k_nearest=upward(native.live_k_nearest))
+        assert not _native._self_check(broken)
+
+    def test_self_check_rejects_a_farthest_query_missing_the_band(self):
+        # With a margin, the farthest query must score the whole band
+        # below the maximum; one that prunes at the maximum alone misses
+        # runners-up in the band and must be rejected at load.
+        native = _native.load()
+
+        def maximum_only(tree, point, margin, out):
+            return native.live_farthest(tree, point, 0.0, out)
+
+        assert not _native._self_check(native._replace(live_farthest=maximum_only))
+
     def test_self_check_rejects_a_contracted_distance_scan(self):
         # One fused-looking rounding difference in the last column is enough.
         real = _native.load().sq_distances
@@ -623,3 +835,25 @@ class TestSelfCheck:
             return True
 
         assert not _native._self_check(_native.load()._replace(sq_distances=off_by_an_ulp))
+
+
+@native_only
+def test_a_live_binding_breaking_ties_upward_is_rejected(monkeypatch):
+    # Loaded with the broken binding, the library is rejected as a whole:
+    # MDAV runs on the scan engine's numpy specs and gives their labels.
+    bind = _native._bind_live
+
+    def broken_bind(*fns):
+        k_nearest, *rest = bind(*fns)
+        return (upward(k_nearest), *rest)
+
+    monkeypatch.setattr(_native, "_bind_live", broken_bind)
+    monkeypatch.setattr(_native, "_cached", _native._UNSET)
+    assert _native.load() is None
+    X = half_grid(np.random.default_rng(67), (400, 2))
+    assert kernels.split_depth(*X.shape) > 0
+    assert isinstance(live_set(X), ClusteringEngine)
+    rejected = mdav(X, 3)
+    monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+    monkeypatch.setattr(_native, "_cached", _native._UNSET)
+    np.testing.assert_array_equal(rejected.labels, mdav(X, 3).labels)

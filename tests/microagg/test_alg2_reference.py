@@ -15,12 +15,14 @@ The cluster EMD is the max over attributes; the refinement stops once it
 is at most ``Fraction(t)``, takes the first lowest trial and accepts it
 only when strictly below the current EMD.  ``kanonymity_first`` must
 reproduce its partitions and swap counts on every golden dataset, through
-the compiled kernel and through the Python spec (``REPRO_NO_NATIVE=1``).
-This reference is what the re-blessed golden fixtures stand on.
+the compiled library, through a live index forced down to leaves of one or
+two records, and through the Python spec (``REPRO_NO_NATIVE=1``).  This
+reference is what the re-blessed golden fixtures stand on.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from repro.core.confidential import ConfidentialModel
 from repro.core.kanon_first import kanonymity_first
 from repro.distance.emd import NominalEMDReference
 from repro.distance.records import encode_mixed, sq_distances_to
+from repro.microagg import engine as live_sets
 from repro.microagg.engine import ClusteringEngine
 from repro.microagg.partition import Partition
 
@@ -105,14 +108,23 @@ def reference(case: str) -> tuple[np.ndarray, int]:
     return reference_kanon_first(*CASES[case])
 
 
-@pytest.fixture(params=["kernel", "spec"])
+def deepest_depth(n_records: int, width: int) -> int:
+    """A live-index depth with leaves of one or two records."""
+    return int(np.log2(n_records)) if width else 0
+
+
+@pytest.fixture(params=["kernel", "index", "spec"])
 def path(request, monkeypatch):
-    """Run the fit through the compiled kernel or the Python spec."""
+    """Run the fit through the compiled library, through a live index
+    forced down to leaves of one or two records, or through the Python
+    spec."""
     if request.param == "spec":
         monkeypatch.setenv("REPRO_NO_NATIVE", "1")
         monkeypatch.setattr(_native, "_cached", _native._UNSET)
     elif _native.load() is None:
         pytest.skip("no usable C toolchain on this host")
+    if request.param == "index":
+        monkeypatch.setattr(live_sets, "split_depth", deepest_depth)
     return request.param
 
 
@@ -124,3 +136,33 @@ def test_kanon_first_equals_exact_reference(case, path):
     result = kanonymity_first(data, k, t, merge_fallback=False)
     np.testing.assert_array_equal(result.partition.labels, labels)
     assert result.info["n_swaps"] == n_swaps
+
+
+@pytest.fixture(scope="module")
+def goldens():
+    fixtures = Path(__file__).parent / "fixtures"
+    stored = {}
+    for name in ("engine_golden.npz", "kanon_first_golden.npz"):
+        with np.load(fixtures / name) as npz:
+            stored.update({key: npz[key] for key in npz.files})
+    return stored
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_kanon_first_golden_keys(case, path, goldens):
+    """Every Algorithm 2 golden key, on every path: the fit with the merge
+    fallback and, for the end-to-end cases, the raw swap phase and the
+    counters."""
+    data, k, t = CASES[case]
+    result = kanonymity_first(data, k, t)
+    if f"kanon-first/{case}" in goldens:
+        np.testing.assert_array_equal(
+            result.partition.labels, goldens[f"kanon-first/{case}"]
+        )
+        return
+    np.testing.assert_array_equal(result.partition.labels, goldens[f"{case}/labels"])
+    n_swaps, n_merges, pre_merge = goldens[f"{case}/counters"]
+    assert (result.info["n_swaps"], result.info["n_merges"]) == (n_swaps, n_merges)
+    assert result.info["clusters_before_merge"] == pre_merge
+    raw = kanonymity_first(data, k, t, merge_fallback=False)
+    np.testing.assert_array_equal(raw.partition.labels, goldens[f"{case}/raw/labels"])

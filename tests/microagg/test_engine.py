@@ -10,19 +10,32 @@ oracles.
 import numpy as np
 import pytest
 
-from repro.backend import SerialBackend
+from repro.backend import SerialBackend, _native, kernels
 from repro.distance.records import (
     k_nearest_indices,
     pairwise_sq_distances,
     sq_distances_to,
 )
 from repro.microagg import ClusteringEngine
+from repro.microagg import engine as live_sets
+from repro.microagg.engine import LiveIndex, live_set
 
 
 def make_engine(n=50, d=3, seed=0, **kwargs):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, d))
     return X, ClusteringEngine(X, **kwargs)
+
+
+native_only = pytest.mark.skipif(
+    _native.load() is None, reason="no usable C toolchain on this host"
+)
+
+
+def make_live_index(n=50, d=3, seed=0, depth=3):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    return X, LiveIndex(X, depth, _native.load())
 
 
 class TestValidation:
@@ -343,3 +356,176 @@ class TestReplaceRow:
         np.testing.assert_array_equal(
             engine.ids_at(engine.positions_of(ids)), ids
         )
+
+
+@native_only
+class TestLiveIndex:
+    """The live index's own rules: the scan engine's kill guards, point
+    reuse, the structure :func:`live_set` picks, and equal selections."""
+
+    def test_kill_dead_record_raises(self):
+        _, live = make_live_index()
+        live.kill(np.array([3]))
+        with pytest.raises(ValueError, match="already assigned"):
+            live.kill(np.array([3]))
+
+    def test_kill_duplicate_ids_in_one_batch_raises(self):
+        _, live = make_live_index()
+        with pytest.raises(ValueError, match="unique"):
+            live.kill(np.array([3, 3]))
+        assert live.n_alive == 50
+
+    @pytest.mark.parametrize("bad", [-1, -2, 10, 11])
+    def test_ids_outside_the_records_rejected(self, bad):
+        _, live = make_live_index(n=10, d=2, depth=2)
+        for batch in ([bad], [0, bad]):
+            with pytest.raises(ValueError, match=r"outside \[0, 10\)"):
+                live.kill(np.array(batch))
+        assert live.n_alive == 10
+        np.testing.assert_array_equal(live.alive_ids(), np.arange(10))
+
+    def test_kill_takes_a_scalar_id(self):
+        _, live = make_live_index(n=10, d=2, depth=2)
+        live.kill(np.int64(0))
+        live.kill(7)
+        np.testing.assert_array_equal(live.alive_ids(), [1, 2, 3, 4, 5, 6, 8, 9])
+
+    def test_rejected_batch_changes_nothing(self):
+        X, live = make_live_index(n=10, d=2, depth=2)
+        live.kill(np.array([4]))
+        before = live.centroid_fast()
+        counts = live._tree.count.copy()
+        for batch in ([1, 4], [2, 2], [3, -1]):
+            with pytest.raises(ValueError):
+                live.kill(np.array(batch))
+        assert live.n_alive == 9
+        np.testing.assert_array_equal(live.centroid_fast(), before)
+        np.testing.assert_array_equal(live._tree.count, counts)
+        assert live.farthest(X[4]) != 4
+
+    def test_running_sum_and_centroids_equal_the_scan_engine(self):
+        X, live = make_live_index(n=60, d=3, depth=4)
+        engine = ClusteringEngine(X)
+        for batch in ([0, 5, 9], [12], [30, 31, 2, 44]):
+            live.kill(batch)
+            engine.kill(batch)
+            np.testing.assert_array_equal(live.centroid_fast(), engine.centroid_fast())
+            np.testing.assert_array_equal(live.centroid(), engine.centroid())
+            np.testing.assert_array_equal(live.alive_ids(), engine.alive_ids())
+            assert live.n_alive == engine.n_alive
+
+    def test_selections_equal_the_scan_engine(self):
+        rng = np.random.default_rng(5)
+        X = rng.integers(0, 3, size=(120, 2)).astype(float)
+        for depth in (1, 3, 6):
+            engine = ClusteringEngine(X)
+            live = LiveIndex(X, depth, _native.load())
+            while engine.n_alive:
+                assert live.farthest_from_centroid() == engine.farthest_from_centroid()
+                seed = engine.alive_ids()[-1]
+                for k in (1, 4, engine.n_alive + 2):
+                    np.testing.assert_array_equal(
+                        live.k_nearest(k, X[seed]), engine.k_nearest(k, X[seed])
+                    )
+                assert live.farthest() == engine.farthest()  # the last point
+                assert live.nearest_with_value(X[0]) == engine.nearest_with_value(X[0])
+                batch = engine.k_nearest(5, X[engine.farthest(X[seed])])
+                live.kill(batch)
+                engine.kill(batch)
+
+    def test_point_none_needs_a_point_and_points_are_checked(self):
+        X, live = make_live_index()
+        with pytest.raises(ValueError, match="no query point"):
+            live.farthest()
+        with pytest.raises(ValueError, match="shape"):
+            live.k_nearest(2, np.zeros(2))
+        with pytest.raises(ValueError, match="positive"):
+            live.k_nearest(0, X[0])
+        point = X[0].copy()
+        first = live.farthest(point)
+        point[:] = 100.0  # the live index keeps its own copy
+        assert live.farthest() == first
+
+    def test_nan_point_takes_the_numpy_spec(self):
+        X = np.ascontiguousarray(np.arange(40.0).reshape(20, 2))
+        live = LiveIndex(X, 3, _native.load())
+        engine = ClusteringEngine(X)
+        point = np.array([np.nan, 1.0])
+        for structure in (live, engine):
+            structure.kill([3, 4])
+        with np.errstate(invalid="ignore"):
+            assert live.farthest(point) == engine.farthest(point) == 0
+            assert live.nearest_with_value(point)[0] == engine.nearest_with_value(point)[0]
+            np.testing.assert_array_equal(live.k_nearest(3, point), engine.k_nearest(3, point))
+
+    def test_partitions_near_the_float_range_equal_the_scan_engine(self, monkeypatch):
+        # Coordinates of +-1.7e308 overflow column widths, distances and
+        # the running sum (to inf, then inf - inf = NaN centroids, which the
+        # live index answers through the numpy spec): MDAV and V-MDAV must
+        # still make the scan engine's choices.
+        from repro.microagg import mdav, vmdav
+
+        rng = np.random.default_rng(7)
+        with np.errstate(all="ignore"):
+            for _ in range(30):
+                n, d = int(rng.integers(8, 60)), int(rng.integers(1, 3))
+                scale = rng.choice([1.0, 1e307, 1.7e308], size=(n, 1))
+                X = rng.integers(-1, 2, size=(n, d)) * scale
+                k = int(rng.integers(1, 4))
+                labels = {}
+                for depth in (lambda n, d: 0, lambda n, d: int(np.log2(n))):
+                    monkeypatch.setattr(live_sets, "split_depth", depth)
+                    labels[depth(n, d) > 0] = (
+                        mdav(X, k).labels,
+                        vmdav(X, k, gamma=0.5).labels,
+                    )
+                    assert isinstance(live_set(X), LiveIndex) == (depth(n, d) > 0)
+                for scan, index in zip(labels[False], labels[True]):
+                    np.testing.assert_array_equal(index, scan)
+
+    def test_live_set_picks_the_index_only_where_it_applies(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        narrow = rng.normal(size=(2000, 3))
+        assert isinstance(live_set(narrow), LiveIndex)
+        # Four columns get the index; five do not, although the split rule
+        # gives 2,000 x 5 a tree (the index lost there on uniform tables).
+        four, five = rng.uniform(size=(2000, 4)), rng.uniform(size=(2000, 5))
+        assert kernels.split_depth(*five.shape) > 0
+        assert isinstance(live_set(four), LiveIndex)
+        assert isinstance(live_set(five), ClusteringEngine)
+        # A wide one-hot table: the split rule keeps one leaf.
+        onehot = np.eye(16)[rng.integers(0, 16, 2000)]
+        assert isinstance(live_set(onehot), ClusteringEngine)
+        assert isinstance(live_set(narrow[:20]), ClusteringEngine)  # one leaf
+        for bad in (np.nan, np.inf, -np.inf):
+            X = narrow.copy()
+            X[17, 1] = bad
+            assert isinstance(live_set(X), ClusteringEngine)
+        backend = SerialBackend()
+        assert live_set(onehot, backend=backend).backend is backend
+        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+        monkeypatch.setattr(_native, "_cached", _native._UNSET)
+        assert isinstance(live_set(narrow), ClusteringEngine)
+
+
+@pytest.mark.parametrize("structure", ["scan", "index"])
+def test_farthest_from_centroid_with_squares_overflowing(structure, monkeypatch):
+    # The band below an infinite maximum is every record at inf (not the
+    # NaN of inf - inf, which left no candidate); the exact re-judge then
+    # takes the lowest id among them.
+    if structure == "index":
+        if _native.load() is None:
+            pytest.skip("no usable C toolchain on this host")
+        monkeypatch.setattr(live_sets, "split_depth", lambda n, d: 2)
+    X = np.array([[3.0], [1e200], [-1e200], [0.0], [1.0], [2.0], [5.0]])
+    live = live_set(X)
+    assert isinstance(live, LiveIndex) == (structure == "index")
+    remaining = np.arange(7)
+    with np.errstate(over="ignore"):
+        for gone, want in ((1, 1), (2, 0), (6, 6)):
+            # The reference: argmax over the exact centroid's distances.
+            exact = sq_distances_to(X[remaining], X[remaining].mean(axis=0))
+            assert remaining[np.argmax(exact)] == want
+            assert live.farthest_from_centroid() == want
+            live.kill([gone])
+            remaining = remaining[remaining != gone]

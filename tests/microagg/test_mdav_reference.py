@@ -14,6 +14,12 @@ reproduce the ``alg1`` entries of the end-to-end fixture.  This reference
 is what the golden entries moved by the lowest-id rule were written from
 (``scripts/generate_engine_golden.py`` lists them).
 
+The golden tables are small and narrow, so the split rule leaves most of
+them on the scan engine; the ``index`` path forces every live set onto a
+multi-level live index with leaves of one or two records
+(:func:`deepest_depth`), so its box bounds, pruning and kills run on
+every table.
+
 The rule does not depend on the host: the last test fits MDAV on
 tie-heavy integer tables in a subprocess with numpy's AVX-512 dispatch
 disabled, which changes ``np.argpartition``'s tie order on hosts that have
@@ -33,7 +39,7 @@ import repro
 from repro.backend import _native
 from repro.core.merge import microaggregation_merge
 from repro.distance.records import encode_mixed, sq_distances_to
-from repro.microagg import mdav, vmdav
+from repro.microagg import engine, mdav, vmdav
 from repro.microagg.partition import Partition
 
 from .golden_datasets import (
@@ -43,7 +49,7 @@ from .golden_datasets import (
     e2e_case,
     matrix_case,
 )
-from .test_alg2_reference import _columns, _dense_emd
+from .test_alg2_reference import _columns, _dense_emd, deepest_depth
 from .test_merge_reference import reference_merge
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -121,14 +127,19 @@ def reference_alg1(data, k: int, t: float):
     return labels, emds, n_merges
 
 
-@pytest.fixture(params=["kernel", "spec"])
+@pytest.fixture(params=["kernel", "index", "spec"])
 def path(request, monkeypatch):
-    """Run the partitioner through the compiled scans or the numpy specs."""
+    """Run the partitioner through the compiled library (the live index
+    where the split rule picks it, else the scan engine's compiled scans),
+    through a live index forced down to leaves of one or two records, or
+    through the numpy specs."""
     if request.param == "spec":
         monkeypatch.setenv("REPRO_NO_NATIVE", "1")
         monkeypatch.setattr(_native, "_cached", _native._UNSET)
     elif _native.load() is None:
         pytest.skip("no usable C toolchain on this host")
+    if request.param == "index":
+        monkeypatch.setattr(engine, "split_depth", deepest_depth)
     return request.param
 
 
@@ -164,7 +175,7 @@ def test_vmdav_equals_reference(golden, case, gamma, path):
 
 
 @pytest.mark.parametrize("case", [c[0] for c in E2E_CASES])
-def test_alg1_equals_reference(golden_e2e, case):
+def test_alg1_equals_reference(golden_e2e, case, monkeypatch):
     _, dataset, k, t = next(c for c in E2E_CASES if c[0] == case)
     data = e2e_case(dataset)
     labels, emds, n_merges = reference_alg1(data, k, t)
@@ -180,6 +191,12 @@ def test_alg1_equals_reference(golden_e2e, case):
     assert [Fraction(e) for e in result.cluster_emds] == [
         Fraction(float(e)) for e in emds
     ]
+    # The same fit with MDAV on a live index of one- or two-record leaves.
+    monkeypatch.setattr(engine, "split_depth", deepest_depth)
+    deep = microaggregation_merge(data, k, t)
+    np.testing.assert_array_equal(deep.partition.labels, labels)
+    assert deep.info == result.info
+    np.testing.assert_array_equal(deep.cluster_emds, result.cluster_emds)
 
 
 def test_random_tie_heavy_tables_equal_reference(path):
@@ -192,6 +209,28 @@ def test_random_tie_heavy_tables_equal_reference(path):
         np.testing.assert_array_equal(
             vmdav(X, k, gamma=0.5).labels, reference_vmdav(X, k, 0.5)
         )
+
+
+def test_squares_overflowing_to_inf_equal_reference(path):
+    # Every distance from +-1e200 overflows to inf; the band below an
+    # infinite maximum must still hold the records at inf (it used to be
+    # NaN, leaving no candidate and an argmax of an empty sequence).  In
+    # the last table the running sum reads inf - inf = NaN once the two
+    # 1.7e308 rows are carved: no fast distance is comparable, and every
+    # live record must be re-judged on the exact centroid.
+    tables = [
+        np.array([[1e200], [-1e200], [0.0], [1.0], [2.0], [3.0]]),
+        np.array([[1e200, 0.0], [-1e200, 1.0], [0.0, 0.0], [1.0, 2.0]] * 4),
+        np.array([[2.0], [1.7e308], [2.0], [1.7e308], [0.0], [0.0], [3.0], [0.0]]),
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for X in tables:
+            for k in (1, 2, 3):
+                np.testing.assert_array_equal(mdav(X, k).labels, reference_mdav(X, k))
+                for gamma in (0.2, 1.0):
+                    np.testing.assert_array_equal(
+                        vmdav(X, k, gamma=gamma).labels, reference_vmdav(X, k, gamma)
+                    )
 
 
 def tie_heavy_labels() -> str:
@@ -209,7 +248,8 @@ def tie_heavy_labels() -> str:
 def test_labels_do_not_follow_numpy_simd_dispatch(path):
     """On an AVX-512 host the disabled features change argpartition's tie
     order, which moved five of these eight partitions under the old
-    selection; elsewhere the subprocess runs the same dispatch."""
+    selection; elsewhere the subprocess runs the same dispatch.  On the
+    ``index`` path the subprocess forces the same deep live index."""
     env = dict(os.environ)  # carries REPRO_NO_NATIVE on the spec path
     src = str(Path(repro.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + (
@@ -218,8 +258,10 @@ def test_labels_do_not_follow_numpy_simd_dispatch(path):
     env["NPY_DISABLE_CPU_FEATURES"] = "X86_V4 AVX512_ICL AVX512_SPR"
     script = (
         "import sys\n"
-        "from tests.microagg.test_mdav_reference import tie_heavy_labels\n"
-        "sys.stdout.write(tie_heavy_labels())\n"
+        "from repro.microagg import engine\n"
+        "from tests.microagg.test_mdav_reference import deepest_depth, tie_heavy_labels\n"
+        + ("engine.split_depth = deepest_depth\n" if path == "index" else "")
+        + "sys.stdout.write(tie_heavy_labels())\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],

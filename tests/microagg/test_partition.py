@@ -18,6 +18,27 @@ class TestConstruction:
         p = Partition([3, 0, 3, 0])
         np.testing.assert_array_equal(p.labels, [0, 1, 0, 1])
 
+    def test_relabel_equals_the_sorted_first_appearance_rule(self):
+        # Dense labels take the scatter-min relabel, sparse ones np.unique;
+        # both must number clusters by first appearance.
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            n = int(rng.integers(1, 300))
+            top = int(rng.choice([1, n // 3 + 1, n, 5 * n, 10**9]))
+            raw = rng.integers(0, top, n, dtype=np.uint64 if top > n else np.int64)
+            _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+            want = np.argsort(np.argsort(first))[inverse]
+            p = Partition(raw)
+            np.testing.assert_array_equal(p.labels, want)
+            assert p.labels.dtype == np.int64
+            assert p.n_clusters == len(first)
+
+    def test_huge_label_values_allocate_nothing_proportional(self):
+        p = Partition([0, 10**12, 0])
+        np.testing.assert_array_equal(p.labels, [0, 1, 0])
+        assert p.n_clusters == 2
+        np.testing.assert_array_equal(Partition([2**62, 7, 2**62]).labels, [0, 1, 0])
+
     def test_integral_floats_accepted(self):
         p = Partition(np.array([0.0, 1.0]))
         assert p.n_clusters == 2
