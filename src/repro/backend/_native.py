@@ -1,8 +1,9 @@
 """Optional compiled kernels: the kd assign query, Algorithm 2's refinement,
-the clustering engine's per-round scans and the live index.
+the clustering engine's per-round scans, the live index and the merge
+step.
 
 On hosts that ship a C compiler this module builds one small shared
-library with eight entry points.
+library with twelve entry points.
 
 ``repro_kd_nearest`` answers serving's nearest-representative queries
 (:func:`repro.backend.kernels.nearest_block`) against a
@@ -85,6 +86,26 @@ hold a lower id.  A query point with a NaN coordinate is declined
 ctypes struct of its array addresses (:func:`live_handle`); a query
 passes that struct's address, the point and its outputs.
 
+The four ``repro_merge_*`` entry points run the ``nearest-qi`` merge loop
+of Algorithm 1 (:func:`repro.core.merge.merge_to_t_closeness`) over a
+:class:`~repro.backend.kernels.MergeState`, bound once as a ctypes struct
+of its array addresses (:func:`merge_handle`; the centroid columns later,
+by :func:`bind_columns`, once a first merge is due).
+``repro_merge_step`` is one whole merge per call: it takes the worst
+cluster from an indexed binary heap keyed on the exact ratios (128-bit
+cross products, the lowest id on ties, no stale entries), stops when it
+is within t (``num <= (t_num * den) >> e`` for ``min(t, 1) = t_num /
+2^e``, in 128 bits), scans the centroid columns for the live cluster
+other than it with the smallest (canonical distance, id), a NaN distance
+last, moves the survivor's centroid to the size-weighted mean of the two
+(rounded as numpy rounds it), splices the partner's member list after
+the survivor's, and re-scores the survivor: its bins gathered along the
+links and sorted, then ``distinct`` and ``current_s``, the refinement's
+helpers, over the same attribute layout (a merged cluster with c*n*m
+reaching 2^63 is refused).  ``repro_merge_commit`` is that commit for a
+given pair (a resume's replay), ``repro_merge_heapify`` builds the heap
+and ``repro_merge_labels`` writes the survivors' members as labels.
+
 Every C call releases the GIL (``ctypes.CDLL``), so calls from concurrent
 threads (serving's batcher runs each assign on an executor thread, fits
 may run on several threads) run in parallel.
@@ -107,10 +128,13 @@ The build is best-effort and cached:
   at k = 1 up to past the live count, the live index's queries (the
   farthest one at band margins of 0, 1e-6 and 0.25, with its runner-up)
   through kills at two forced depths over half-integer grids with
-  duplicated rows and a row of 1e200 — and rejects the library on any
-  difference, so a misbehaving toolchain degrades to the (slow, correct) specs
-  instead of corrupting results.  The whole self-check takes a few tens
-  of milliseconds, once per process.
+  duplicated rows and a row of 1e200, the merge step against a
+  brute-force merge loop on integer-grid centroids with duplicate
+  ordered bins and a nominal attribute, stopping at a cluster exactly at
+  t — and rejects the library on any difference, so a misbehaving
+  toolchain degrades to the (slow, correct) specs instead of corrupting
+  results.  The whole self-check takes a few tens of milliseconds, once
+  per process.
 """
 
 from __future__ import annotations
@@ -1035,6 +1059,275 @@ long long repro_alg2_refine(const long long *attrs,
     free(work);
     return status;
 }
+
+/* ---- The merge phase's step (Algorithm 1), exact integers --------------
+ *
+ * The clusters of repro.core.merge's loop: per cluster g its size, its
+ * liveness and its exact EMD ratio ratio[2g] / ratio[2g+1] (the max over
+ * attributes of S_a / (c*n*w_a), the first attribute on exact ties, 0/1
+ * when every S_a is 0), its members as a list linked through the records
+ * (head, tail, next; a live cluster's tail links to -1) and its centroid,
+ * entry g of each of the d columns of cols (d x G).  The live clusters sit
+ * in an indexed binary heap, the largest ratio first and the lowest id on
+ * exact ties, with no stale entries (where[g]: g's slot, -1 once
+ * absorbed).  Attributes are the refinement's attrs / tables.  work holds
+ * 4n scratch entries; pair receives each step's (worst, partner).  min(t, 1)
+ * is t_num / 2^t_exp exactly: a float's ratio has a power-of-two
+ * denominator.
+ */
+typedef struct {
+    long long n_clusters, d, n_attr, n, t_num, t_exp, n_heap;
+    const long long *attrs;
+    const long long *const *tables;
+    double *cols;
+    long long *size, *ratio, *heap, *where, *head, *tail, *next, *work, *pair;
+    unsigned char *alive;
+} merge_state;
+
+enum { MERGE_STOP = 0, MERGED = 1, MERGE_NO_CENTROIDS = 2,
+       MERGE_PAST_BOUND = -1, MERGE_BAD_PAIR = -2 };
+
+/* Whether cluster a pops before cluster b: a larger exact ratio (cross
+ * products below 2^126), or an equal one and a lower id. */
+static int pops_before(const merge_state *s, long long a, long long b)
+{
+    wide x = (wide)s->ratio[2 * a] * s->ratio[2 * b + 1];
+    wide y = (wide)s->ratio[2 * b] * s->ratio[2 * a + 1];
+    return x > y || (x == y && a < b);
+}
+
+static void heap_set(merge_state *s, long long i, long long g)
+{
+    s->heap[i] = g;
+    s->where[g] = i;
+}
+
+static void heap_up(merge_state *s, long long i)
+{
+    long long g = s->heap[i];
+    while (i > 0 && pops_before(s, g, s->heap[(i - 1) / 2])) {
+        heap_set(s, i, s->heap[(i - 1) / 2]);
+        i = (i - 1) / 2;
+    }
+    heap_set(s, i, g);
+}
+
+static void heap_down(merge_state *s, long long i)
+{
+    long long g = s->heap[i];
+    for (;;) {
+        long long c = 2 * i + 1;
+        if (c >= s->n_heap)
+            break;
+        if (c + 1 < s->n_heap && pops_before(s, s->heap[c + 1], s->heap[c]))
+            ++c;
+        if (!pops_before(s, s->heap[c], g))
+            break;
+        heap_set(s, i, s->heap[c]);
+        i = c;
+    }
+    heap_set(s, i, g);
+}
+
+/* Heap the live clusters. */
+void repro_merge_heapify(merge_state *s)
+{
+    s->n_heap = 0;
+    for (long long g = 0; g < s->n_clusters; ++g) {
+        if (s->alive[g])
+            heap_set(s, s->n_heap++, g);
+        else
+            s->where[g] = -1;
+    }
+    for (long long i = s->n_heap / 2 - 1; i >= 0; --i)
+        heap_down(s, i);
+}
+
+/* Whether cluster g's ratio num/den is at most t_num / 2^t_exp, exactly:
+ * num <= floor(t_num * den / 2^t_exp), with t_num < 2^53 and den < 2^63. */
+static int within_t(const merge_state *s, long long g)
+{
+    unsigned __int128 bound = 0;
+    if (s->t_exp < 128)
+        bound = ((unsigned __int128)s->t_num * (unsigned long long)s->ratio[2 * g + 1])
+                >> s->t_exp;
+    return (unsigned __int128)s->ratio[2 * g] <= bound;
+}
+
+/* The live cluster other than w nearest w's centroid: the smallest
+ * (squared distance, id), a NaN distance after every number.  Distances
+ * accumulate in repro_sq_distances' column order; with no columns every
+ * distance is 0.  Returns -1 when w is the only live cluster. */
+static long long nearest_partner(const merge_state *s, long long w)
+{
+    const long long G = s->n_clusters, d = s->d;
+    long long best = -1;
+    double best_d2 = 0.0, buf[BLOCK];
+    for (long long g0 = 0; g0 < G; g0 += BLOCK) {
+        long long m = G - g0 < BLOCK ? G - g0 : BLOCK;
+        if (d == 0) {
+            for (long long r = 0; r < m; ++r)
+                buf[r] = 0.0;
+        } else {
+            const double *c0 = s->cols + g0;
+            double p0 = s->cols[w];
+            for (long long r = 0; r < m; ++r) {
+                double u = c0[r] - p0;
+                buf[r] = u * u;
+            }
+        }
+        for (long long j = 1; j < d; ++j) {
+            const double *cj = s->cols + j * G + g0;
+            double pj = s->cols[j * G + w];
+            for (long long r = 0; r < m; ++r) {
+                double u = cj[r] - pj;
+                buf[r] += u * u;
+            }
+        }
+        /* Ids ascend, so a later cluster wins only when strictly nearer,
+         * or when it is a number and the best so far is NaN. */
+        for (long long r = 0; r < m; ++r) {
+            long long g = g0 + r;
+            if (!s->alive[g] || g == w)
+                continue;
+            if (best < 0 || buf[r] < best_d2
+                || (best_d2 != best_d2 && buf[r] == buf[r])) {
+                best = g;
+                best_d2 = buf[r];
+            }
+        }
+    }
+    return best;
+}
+
+/* Sort c bins ascending: insertion below 32, qsort above. */
+static int compare_ll(const void *a, const void *b)
+{
+    long long x = *(const long long *)a, y = *(const long long *)b;
+    return (x > y) - (x < y);
+}
+
+static void sort_bins(long long *bins, long long c)
+{
+    if (c > 32) {
+        qsort(bins, (size_t)c, sizeof *bins, compare_ll);
+        return;
+    }
+    for (long long j = 1; j < c; ++j)
+        insert(bins, j, bins[j]);
+}
+
+/* Recompute cluster g's ratio from its members' bins: per attribute the
+ * bins gathered along the links, sorted, their distinct values counted and
+ * S_a taken as the refinement does (current_s).  Returns MERGE_PAST_BOUND,
+ * leaving the ratio, when c*n*m reaches 2^63 for some attribute. */
+static long long rescore(merge_state *s, long long g)
+{
+    const long long n = s->n, c = s->size[g];
+    long long *ids = s->work, *sorted = ids + n, *u = sorted + n, *cnt = u + n;
+    long long num = 0, den = 1;
+    for (long long a = 0; a < s->n_attr; ++a)
+        if ((wide)c * n * s->attrs[4 * a + 1] >= ((wide)1 << 63))
+            return MERGE_PAST_BOUND;
+    for (long long i = 0, r = s->head[g]; i < c; ++i, r = s->next[r])
+        ids[i] = r;
+    for (long long a = 0; a < s->n_attr; ++a) {
+        const long long *attr = s->attrs + 4 * a, *bins = s->tables[3 * a];
+        for (long long i = 0; i < c; ++i)
+            sorted[i] = bins[ids[i]];
+        sort_bins(sorted, c);
+        long long r = distinct(sorted, c, u, cnt);
+        long long sa = current_s(attr, s->tables + 3 * a, n, c, u, cnt, r);
+        /* An attribute with S_a > 0 has m >= 2 bins, so w <= m and its
+         * denominator c*n*w stays below 2^63. */
+        wide da = (wide)c * n * attr[2];
+        if ((wide)sa * den > (wide)num * da) {
+            num = sa;
+            den = (long long)da;
+        }
+    }
+    s->ratio[2 * g] = num;
+    s->ratio[2 * g + 1] = den;
+    return MERGED;
+}
+
+/* Merge live cluster p into live cluster w: w's centroid becomes the
+ * size-weighted mean of both, p's members are spliced after w's, p leaves
+ * the heap and w is re-scored and re-placed. */
+static long long commit(merge_state *s, long long w, long long p)
+{
+    const long long G = s->n_clusters;
+    double sw = (double)s->size[w], sp = (double)s->size[p];
+    double st = (double)(s->size[w] + s->size[p]);
+    for (long long j = 0; j < s->d; ++j) {
+        double *col = s->cols + j * G;
+        col[w] = (sw * col[w] + sp * col[p]) / st;
+    }
+    s->next[s->tail[w]] = s->head[p];
+    s->tail[w] = s->tail[p];
+    s->size[w] += s->size[p];
+    s->alive[p] = 0;
+    long long i = s->where[p], last = s->heap[--s->n_heap];
+    s->where[p] = -1;
+    if (last != p) {
+        heap_set(s, i, last);
+        heap_up(s, i);
+        heap_down(s, s->where[last]);
+    }
+    long long status = rescore(s, w);
+    if (status == MERGED) {
+        heap_up(s, s->where[w]);
+        heap_down(s, s->where[w]);
+    }
+    return status;
+}
+
+/* One merge of the loop: stop (MERGE_STOP) when one cluster is left or
+ * the worst one is within t; else merge the nearest partner into it and
+ * write (worst, partner) to pair (MERGED).  MERGE_NO_CENTROIDS, changing
+ * nothing, when a merge is due and the centroid columns are not bound. */
+long long repro_merge_step(merge_state *s)
+{
+    if (s->n_heap < 2)
+        return MERGE_STOP;
+    long long w = s->heap[0];
+    if (within_t(s, w))
+        return MERGE_STOP;
+    if (s->d > 0 && !s->cols)
+        return MERGE_NO_CENTROIDS;
+    long long p = nearest_partner(s, w);
+    s->pair[0] = w;
+    s->pair[1] = p;
+    return commit(s, w, p);
+}
+
+/* The step's commit of a given pair (a resume's replay): MERGE_BAD_PAIR
+ * unless both are distinct live clusters. */
+long long repro_merge_commit(merge_state *s, long long w, long long p)
+{
+    if (w < 0 || p < 0 || w >= s->n_clusters || p >= s->n_clusters || w == p
+        || !s->alive[w] || !s->alive[p])
+        return MERGE_BAD_PAIR;
+    if (s->d > 0 && !s->cols)
+        return MERGE_NO_CENTROIDS;
+    return commit(s, w, p);
+}
+
+/* Label every member of a live cluster with the cluster's rank among the
+ * live ones (ascending id); returns how many records were labelled. */
+long long repro_merge_labels(const merge_state *s, long long *labels)
+{
+    long long rank = 0, written = 0;
+    for (long long g = 0; g < s->n_clusters; ++g) {
+        if (!s->alive[g])
+            continue;
+        for (long long i = 0, r = s->head[g]; i < s->size[g]; ++i, r = s->next[r])
+            labels[r] = rank;
+        written += s->size[g];
+        ++rank;
+    }
+    return written;
+}
 """
 
 _BASE_FLAGS = ["-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC"]
@@ -1098,6 +1391,10 @@ class Native(NamedTuple):
     live_farthest: Callable
     live_at_or_above: Callable
     live_kill: Callable
+    merge_heapify: Callable
+    merge_step: Callable
+    merge_commit: Callable
+    merge_labels: Callable
 
 
 class LiveHandle(ctypes.Structure):
@@ -1145,6 +1442,98 @@ def live_handle(tree) -> LiveHandle:
             )
         ),
     )
+
+
+#: Statuses of the merge step and its commit (``repro_merge_step``,
+#: ``repro_merge_commit``): the loop stops, a pair merged, a merge is due
+#: but the centroid columns are not bound (nothing changed), the merged
+#: cluster reaches c*n*m >= 2**63, the pair names no two live clusters.
+MERGE_STOP, MERGED, MERGE_NO_CENTROIDS, MERGE_PAST_BOUND, MERGE_BAD_PAIR = 0, 1, 2, -1, -2
+
+
+class MergeHandle(ctypes.Structure):
+    """A :class:`~repro.backend.kernels.MergeState`'s arrays by address, as
+    the ``repro_merge_*`` entry points take them (their ``merge_state``)."""
+
+    _fields_ = [
+        ("n_clusters", ctypes.c_longlong),
+        ("d", ctypes.c_longlong),
+        ("n_attr", ctypes.c_longlong),
+        ("n", ctypes.c_longlong),
+        ("t_num", ctypes.c_longlong),
+        ("t_exp", ctypes.c_longlong),
+        ("n_heap", ctypes.c_longlong),
+        ("attrs", ctypes.c_void_p),
+        ("tables", ctypes.c_void_p),
+        ("cols", ctypes.c_void_p),
+        ("size", ctypes.c_void_p),
+        ("ratio", ctypes.c_void_p),
+        ("heap", ctypes.c_void_p),
+        ("where", ctypes.c_void_p),
+        ("head", ctypes.c_void_p),
+        ("tail", ctypes.c_void_p),
+        ("next", ctypes.c_void_p),
+        ("work", ctypes.c_void_p),
+        ("pair", ctypes.c_void_p),
+        ("alive", ctypes.c_void_p),
+    ]
+
+
+def merge_handle(state, layout, tables, t_num: int, t_den: int) -> MergeHandle:
+    """Bind a :class:`~repro.backend.kernels.MergeState` once.
+
+    ``layout`` and ``tables`` are the integer frames' kernel view
+    (:func:`repro.core.confidential.kernel_view`) and ``t_num / t_den``
+    is ``min(t, 1)`` as its float's exact ratio, whose denominator is a
+    power of two.  The centroid columns are bound later, by
+    :func:`bind_columns`.  The entry points then take ``ctypes.addressof``
+    of the result; the caller keeps the handle, ``state`` and the frames
+    alive while it steps.
+    """
+    if t_den & (t_den - 1):
+        raise ValueError(f"t's denominator {t_den} is not a power of two")
+    return MergeHandle(
+        state.size.size,
+        state.d,
+        layout.shape[0],
+        state.next.size,
+        t_num,
+        t_den.bit_length() - 1,
+        0,
+        _address(layout),
+        _address(tables),
+        None,
+        *(
+            _address(a)
+            for a in (
+                state.size,
+                state.ratio,
+                state.heap,
+                state.where,
+                state.head,
+                state.tail,
+                state.next,
+                state.work,
+                state.pair,
+                state.alive,
+            )
+        ),
+    )
+
+
+def bind_columns(handle: MergeHandle, cols: np.ndarray) -> None:
+    """Point a merge handle at its centroid columns, a C-contiguous
+    ``(d, G)`` float64 array the caller keeps alive."""
+    if not (
+        cols.dtype == np.float64
+        and cols.flags.c_contiguous
+        and cols.shape == (handle.d, handle.n_clusters)
+    ):
+        raise ValueError(
+            f"centroid columns must be C-contiguous float64 of shape "
+            f"({handle.d}, {handle.n_clusters})"
+        )
+    handle.cols = _address(cols)
 
 
 def _bind_kd(fn):
@@ -1311,6 +1700,36 @@ def _bind_live(knn, farthest, at_or_above, kill):
         kill(tree, _address(ids), ids.size)
 
     return k_nearest, far, band, retire
+
+
+def _bind_merge(heapify, step, commit, labels):
+    """The raw merge entry points, over a bound state's address.
+
+    ``state`` is ``ctypes.addressof`` of a :func:`merge_handle`:
+
+    * ``heapify(state)`` heaps the live clusters;
+    * ``step(state)`` runs one merge of the loop and returns its status
+      (:data:`MERGE_STOP`, :data:`MERGED` with (worst, partner) in the
+      state's ``pair``, :data:`MERGE_NO_CENTROIDS` or
+      :data:`MERGE_PAST_BOUND`);
+    * ``commit(state, worst, partner)`` merges the given pair as the step
+      does (:data:`MERGED`, :data:`MERGE_NO_CENTROIDS`,
+      :data:`MERGE_PAST_BOUND`, or :data:`MERGE_BAD_PAIR` unless both are
+      distinct live clusters);
+    * ``labels(handle, out)`` writes every record's cluster, ranked among
+      the live clusters by id, into ``out``, a contiguous int64 array of
+      n, and returns how many records it wrote; it takes the
+      :class:`MergeHandle` itself, to check ``out`` against it.
+    """
+
+    def write_labels(handle, out):
+        if not (
+            out.dtype == np.int64 and out.flags.c_contiguous and out.shape == (handle.n,)
+        ):
+            raise ValueError(f"labels must be a contiguous int64 array of {handle.n}")
+        return labels(ctypes.addressof(handle), _address(out))
+
+    return heapify, step, commit, write_labels
 
 
 def _check_kd(query) -> bool:
@@ -1518,15 +1937,124 @@ def _check_live(native: Native) -> bool:
     return True
 
 
+def _check_merge(native: Native) -> bool:
+    """The merge step must make a brute-force merge loop's decisions.
+
+    16 clusters of two over 32 records: an ordered attribute of five bins,
+    duplicated within and across clusters, and a nominal one of three, so
+    ratios tie exactly across clusters and, twice on this draw, across the
+    attributes of one cluster; centroids on the integer grid {0, 1, 2}^2,
+    so partner distances tie exactly (on 12 of the 25 merges).  At t = 0,
+    at the first cluster's exact EMD (dyadic, since n, c and w_a are
+    powers of two, so the float t is the ratio itself; the loop stops at a
+    cluster exactly at t) and at t = 1, the steps' (worst, partner) pairs
+    and the final ratios, centroid columns (bitwise) and labels must equal
+    the loop's: the largest ratio by cross products, the lowest id on
+    ties, the first attribute on ties within a cluster; a stop once it is
+    at most t; the partner by a lexsort of (distance, id) over the other
+    live clusters; size-weighted mean centroids; dense numerators.
+    Replaying the pairs through the commit must end in the same state.
+    """
+    from ..core.confidential import kernel_view
+    from ..distance.emd import NominalEMDFrame, OrderedEMDFrame
+    from . import kernels
+
+    rng = np.random.default_rng(12)
+    n, G = 32, 16
+    frames = [
+        OrderedEMDFrame(rng.integers(0, 5, n), 5),
+        NominalEMDFrame(rng.integers(0, 3, n), 3),
+    ]
+    counts = [np.bincount(f.bins, minlength=f.m) for f in frames]
+    layout, tables = kernel_view(frames, [0, 0])
+    grid = rng.integers(0, 3, (G, 2)).astype(np.float64)
+    clusters = list(rng.permutation(n).reshape(G, 2))
+
+    def ratio(members):
+        c, best = len(members), (0, 1)
+        for frame, dataset in zip(frames, counts):
+            held = np.bincount(frame.bins[members], minlength=frame.m)
+            if isinstance(frame, OrderedEMDFrame):
+                held, dataset = np.cumsum(held), np.cumsum(dataset)
+            s, d = int(np.abs(n * held - c * dataset).sum()), c * n * frame.weight
+            if s * best[1] > best[0] * d:
+                best = (s, d)
+        return best
+
+    initial = [ratio(m) for m in clusters]
+    scratch = np.empty((2, G))
+    for t in (0.0, initial[0][0] / initial[0][1], 1.0):
+        t_num, t_den = t.as_integer_ratio()
+        members, ratios, cents = list(clusters), list(initial), grid.copy()
+        live, pairs = list(range(G)), []
+        while len(live) > 1:
+            w = live[0]
+            for g in live[1:]:
+                if ratios[g][0] * ratios[w][1] > ratios[w][0] * ratios[g][1]:
+                    w = g
+            if ratios[w][0] * t_den <= t_num * ratios[w][1]:
+                break
+            others = np.array([g for g in live if g != w])
+            d2 = scratch[0, : others.size]
+            kernels.sq_distances_block(cents[others].T, cents[w], d2, scratch[1], 0, others.size)
+            p = int(others[np.lexsort((others, d2))[0]])
+            sw, sp = len(members[w]), len(members[p])
+            cents[w] = (sw * cents[w] + sp * cents[p]) / (sw + sp)
+            members[w] = np.concatenate([members[w], members[p]])
+            ratios[w] = ratio(members[w])
+            live.remove(p)
+            pairs.append((w, p))
+        want = np.empty(n, dtype=np.int64)
+        for rank, g in enumerate(live):
+            want[members[g]] = rank
+        for replay in (False, True):
+            state = kernels.build_merge_state(
+                np.full(G, 2), np.concatenate(clusters), initial, 2
+            )
+            handle = merge_handle(state, layout, tables, t_num, t_den)
+            addr = ctypes.addressof(handle)
+            native.merge_heapify(addr)
+            got = []
+            if replay:
+                state.cols = np.ascontiguousarray(grid.T)
+                bind_columns(handle, state.cols)
+                for w, p in pairs:
+                    if native.merge_commit(addr, w, p) != MERGED:
+                        return False
+                got = pairs
+            else:
+                while (status := native.merge_step(addr)) != MERGE_STOP:
+                    if status == MERGE_NO_CENTROIDS and state.cols is None:
+                        state.cols = np.ascontiguousarray(grid.T)
+                        bind_columns(handle, state.cols)
+                    elif status == MERGED:
+                        got.append(tuple(state.pair.tolist()))
+                    else:
+                        return False
+            labels = np.full(n, -1, dtype=np.int64)
+            if not (
+                got == pairs
+                and native.merge_labels(handle, labels) == n
+                and np.array_equal(labels, want)
+                and np.flatnonzero(state.alive).tolist() == live
+                and state.ratio[live].tolist() == [list(ratios[g]) for g in live]
+                and (not pairs or np.array_equal(state.cols.T[live], cents[live]))
+            ):
+                return False
+    return True
+
+
 def _self_check(native: Native) -> bool:
     """Every entry point must equal its spec (kd query, refinement,
-    distance scan, k-nearest selection, the live index's queries)."""
+    distance scan, k-nearest selection, the live index's queries, the
+    merge step)."""
     return (
         _check_kd(native.kd_nearest)
         and _check_refine(native.alg2_refine)
         and _check_sq(native.sq_distances)
         and _check_k_nearest(native.k_nearest)
         and _check_live(native)
+        and _check_merge(native)
     )
 
 
@@ -1541,9 +2069,11 @@ def load() -> Native | None:
     contiguity), ``alg2_refine`` is ``refine(frame, members, pool,
     budget)`` (see :func:`_bind_refine`), ``sq_distances`` and
     ``k_nearest`` are the engine's scans (:func:`_bind_sq`,
-    :func:`_bind_k_nearest`) and the four ``live_*`` fields are the live
+    :func:`_bind_k_nearest`), the four ``live_*`` fields are the live
     index's queries and kill over a :func:`live_handle` (see
-    :func:`_bind_live`).
+    :func:`_bind_live`) and the four ``merge_*`` fields the merge step,
+    its commit, its heap build and its labels over a
+    :func:`merge_handle` (see :func:`_bind_merge`).
     """
     global _cached
     if _cached is not _UNSET:
@@ -1618,12 +2148,25 @@ def load() -> Native | None:
         live_kill = lib.repro_live_kill
         live_kill.argtypes = [c_void_p, c_void_p, c_int64]
         live_kill.restype = None
+        heapify = lib.repro_merge_heapify
+        heapify.argtypes = [c_void_p]
+        heapify.restype = None
+        step = lib.repro_merge_step
+        step.argtypes = [c_void_p]
+        step.restype = c_int64
+        commit = lib.repro_merge_commit
+        commit.argtypes = [c_void_p, c_int64, c_int64]
+        commit.restype = c_int64
+        labels = lib.repro_merge_labels
+        labels.argtypes = [c_void_p, c_void_p]
+        labels.restype = c_int64
         native = Native(
             _bind_kd(kd),
             _bind_refine(refine),
             _bind_sq(sq),
             _bind_k_nearest(k_nearest),
             *_bind_live(live_knn, live_far, live_band, live_kill),
+            *_bind_merge(heapify, step, commit, labels),
         )
         if not _self_check(native):
             return None

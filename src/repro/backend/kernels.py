@@ -65,6 +65,13 @@ farthest, the records at or above a distance) follow the selection rule
 above — canonical distances, conservative bounds, strict pruning, the
 lowest id on ties.
 
+The merge phase's compiled step keeps its clusters in a
+:class:`MergeState`, plain arrays as well: sizes, liveness, exact EMD
+ratios, an indexed heap, member lists linked through the records and the
+centroid columns, which ``_native``'s merge entry points update in
+place.  Its spec is the merge loop in Python
+(:mod:`repro.core.merge`).
+
 This module deliberately imports nothing from the rest of the library
 (the distance layer and the compute backend both sit on top of it) —
 the one exception is its private sibling :mod:`repro.backend._native`,
@@ -381,6 +388,87 @@ def build_live_tree(X: np.ndarray, depth: int) -> LiveTree:
         hi=tree.hi,
         count=np.concatenate(levels[::-1]),
         alive=np.ones(n, dtype=np.uint8),
+    )
+
+
+@dataclass(eq=False)
+class MergeState:
+    """The merge phase's clusters, as the compiled merge step updates them.
+
+    Built by :func:`build_merge_state`; plain arrays that
+    :mod:`repro.backend._native`'s ``repro_merge_*`` entry points read
+    and update in place through a handle bound once
+    (``_native.merge_handle``).  The compiled path of
+    :func:`repro.core.merge.merge_to_t_closeness` owns one per phase and
+    is its only writer.
+
+    Attributes
+    ----------
+    d:
+        How many centroid columns (quasi-identifier columns) there are.
+    size:
+        ``(G,)`` records per cluster.
+    alive:
+        ``(G,)`` ``uint8`` liveness.
+    ratio:
+        ``(G, 2)`` each cluster's exact EMD as (num, den).
+    heap, where:
+        ``(G,)`` the live clusters as a binary heap, the largest ratio
+        first and the lowest id on exact ties, and each cluster's slot in
+        it (-1 once absorbed).
+    head, tail:
+        ``(G,)`` first and last member of each cluster.
+    next:
+        ``(n,)`` the member after each record in its cluster's list; a
+        merge splices the absorbed cluster's list after the survivor's.
+    work:
+        ``(4n,)`` the step's scratch.
+    pair:
+        ``(2,)`` the last step's (worst, partner).
+    cols:
+        ``(d, G)`` centroid columns; None until the first merge is due.
+    """
+
+    d: int
+    size: np.ndarray
+    alive: np.ndarray
+    ratio: np.ndarray
+    heap: np.ndarray
+    where: np.ndarray
+    head: np.ndarray
+    tail: np.ndarray
+    next: np.ndarray
+    work: np.ndarray
+    pair: np.ndarray
+    cols: np.ndarray | None = None
+
+
+def build_merge_state(
+    sizes: np.ndarray, flat: np.ndarray, ratios, d: int
+) -> MergeState:
+    """The state of clusters ``g`` of ``sizes[g]`` records, listed one
+    cluster after another in ``flat`` (int64 record ids), with exact EMD
+    ratios ``ratios[g]`` as (num, den) and ``d`` centroid columns, every
+    cluster live.  The links come from one pass over ``flat``; the heap
+    is left to ``repro_merge_heapify``."""
+    sizes = np.array(sizes, dtype=np.int64)
+    n, G = flat.size, sizes.size
+    ends = np.cumsum(sizes) - 1
+    links = np.empty(n, dtype=np.int64)
+    links[flat[:-1]] = flat[1:]
+    links[flat[ends]] = -1
+    return MergeState(
+        d=d,
+        size=sizes,
+        alive=np.ones(G, dtype=np.uint8),
+        ratio=np.array(ratios, dtype=np.int64).reshape(G, 2),
+        heap=np.empty(G, dtype=np.int64),
+        where=np.empty(G, dtype=np.int64),
+        head=flat[ends - sizes + 1],
+        tail=flat[ends],
+        next=links,
+        work=np.empty(4 * n, dtype=np.int64),
+        pair=np.empty(2, dtype=np.int64),
     )
 
 

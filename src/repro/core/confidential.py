@@ -76,6 +76,7 @@ class ConfidentialModel:
         self._values = [data.values(name) for name in names]
         self._specs = [data.spec(name) for name in names]
         self._frames: list | None = None
+        self._view: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def supports_trackers(self) -> bool:
@@ -177,6 +178,18 @@ class ConfidentialModel:
         """Per-cluster EMD: :meth:`emd_ratios`, correctly rounded to float."""
         return np.array([num / den for num, den in self.emd_ratios(clusters)])
 
+    def kernel_view(self) -> tuple[np.ndarray, np.ndarray]:
+        """The compiled merge step's view of the integer frames.
+
+        :func:`kernel_view` with every threshold 0 (the merge step reads
+        none), built once per model.  Distinct mode only
+        (:attr:`supports_trackers`).
+        """
+        if self._view is None:
+            frames = self._integer_frames()
+            self._view = kernel_view(frames, [0] * len(frames))
+        return self._view
+
     # -- exact swap refinement (Algorithm 2) ------------------------------------------
 
     def swap_frame(self, k: int, t: float) -> "SwapFrame":
@@ -251,6 +264,35 @@ CONVERGED, CHUNK_EXHAUSTED, BUDGET_SPENT = 0, 1, 2
 UNLIMITED = 2**62
 
 
+def kernel_view(frames, thresholds) -> tuple[np.ndarray, np.ndarray]:
+    """The compiled kernels' view of integer frames, as ``(layout, tables)``.
+
+    ``layout[a]`` is (kind, m, w, T) of attribute a, kind 1 when nominal,
+    with T its entry of ``thresholds``; ``tables[a]`` holds the addresses
+    of the record-bin map and of (cum, prefix), or (counts, counts) when
+    nominal.  The frames own the arrays, so they must outlive any call
+    that reads the view.  Algorithm 2's refinement
+    (:class:`SwapFrame`) and the merge step
+    (:meth:`ConfidentialModel.kernel_view`) both read the frames through
+    it.
+    """
+    layout = np.array(
+        [
+            [isinstance(frame, NominalEMDFrame), frame.m, frame.weight, bound]
+            for frame, bound in zip(frames, thresholds)
+        ],
+        dtype=np.int64,
+    )
+    arrays = [
+        (f.bins, f.counts, f.counts)
+        if isinstance(f, NominalEMDFrame)
+        else (f.bins, f.cum, f.prefix)
+        for f in frames
+    ]
+    tables = np.array([[a.ctypes.data for a in row] for row in arrays], dtype=np.uintp)
+    return layout, tables
+
+
 def check_exact_bound(c: int, n: int, m: int) -> None:
     """Raise ``ValueError`` unless c·n·m < :data:`EXACT_BOUND` (2**63)."""
     if c * n * m >= EXACT_BOUND:
@@ -297,26 +339,7 @@ class SwapFrame:
         self.scales = [common // w for w in weights]
         num, den = min(t, 1.0).as_integer_ratio()  # exact, like Fraction(t)
         self.thresholds = [num * self.k * self.n * w // den for w in weights]
-        #: The kernel's view of attribute a: ``layout[a]`` is (kind, m, w,
-        #: T), kind 1 when nominal, and ``tables[a]`` the addresses of the
-        #: record-bin map and of (cum, prefix), or (counts, counts) when
-        #: nominal.  The frames own the arrays.
-        self.layout = np.array(
-            [
-                [isinstance(frame, NominalEMDFrame), frame.m, frame.weight, bound]
-                for frame, bound in zip(self.frames, self.thresholds)
-            ],
-            dtype=np.int64,
-        )
-        arrays = [
-            (f.bins, f.counts, f.counts)
-            if isinstance(f, NominalEMDFrame)
-            else (f.bins, f.cum, f.prefix)
-            for f in self.frames
-        ]
-        self.tables = np.array(
-            [[a.ctypes.data for a in row] for row in arrays], dtype=np.uintp
-        )
+        self.layout, self.tables = kernel_view(self.frames, self.thresholds)
         #: The frame's leading kernel arguments, converted once per fit.
         self.kernel_args = (
             self.layout.ctypes.data,

@@ -14,52 +14,72 @@ exposed separately (:func:`merge_to_t_closeness`) because the paper reuses
 it as the closing step of Algorithm 2, which cannot guarantee t-closeness
 on its own.
 
-Implementation notes — the phase runs on incremental state end to end:
+Implementation notes — one loop, two ways to run its merges:
 
 * every EMD decision is exact: a cluster's EMD is the rational
   :meth:`~repro.core.confidential.ConfidentialModel.emd_ratio` (integer
   numerators over c·n·w), evaluated for all initial clusters in one pass
   (:meth:`~repro.core.confidential.ConfidentialModel.emd_ratios`) and
   once per merged cluster;
-* a merged cluster's numerator per ordered attribute is one sort of its
-  member bins and one
-  :meth:`~repro.distance.OrderedEMDFrame.sorted_numerator` call, a single
-  segment evaluation over the c + 1 segments the sorted bins cut, with no
-  ``np.unique``.  The ``lowest-emd`` policy scores a round's candidate
-  merges with
-  :meth:`~repro.core.confidential.ConfidentialModel.emd_ratios`, a few
-  calls of at most :data:`LOWEST_EMD_BATCH` member ids each, instead of
-  one ``emd_ratio`` per candidate;
-* the worst cluster is popped from a lazy-deletion heap keyed on those
-  ratios, lowest cluster id first on exact ties — only the merged
-  cluster's key changes per round, so re-selection is O(log G) instead of
-  an O(G) scan;
-* the loop stops once the worst ratio is at most t, compared exactly with
-  the float t's own ratio, the rule Algorithm 2's
+* the worst cluster is the largest ratio, lowest cluster id on exact
+  ties; the loop stops once it is at most t, compared exactly with the
+  float t's own ratio, the rule Algorithm 2's
   :class:`~repro.core.confidential.SwapFrame` applies;
-* nearest-centroid partner search runs on a
-  :class:`~repro.microagg.engine.ClusteringEngine` built over the cluster
-  centroids, reusing its preallocated distance buffer, masked selections
-  and O(d) in-place centroid updates (:meth:`~ClusteringEngine.replace_row`)
-  instead of recomputing a Python-loop distance scan from scratch per
-  merge.  Its initial centroids are averaged by cluster size
-  (:func:`_centroid_matrix`), bitwise each cluster's own mean.  The
-  partner is the argmin of the engine's canonical distances, lowest
-  cluster id on exact ties (pinned by
-  ``tests/microagg/test_kanon_first_golden.py``);
+* the ``nearest-qi`` partner is the live cluster other than the worst
+  with the smallest (squared centroid distance, id), a NaN distance after
+  every number (the clustering engine's k-nearest rule).  Initial
+  centroids are averaged by cluster size (:func:`_centroid_matrix`),
+  bitwise each cluster's own mean, and built only when a first merge is
+  due; a merge moves the survivor's centroid to the size-weighted mean
+  of the two, so centroids depend on the merge path;
 * a checkpoint records decisions, not state: the (worst, partner) pairs
   merged so far and the RNG state.  A resume replays those merges
-  through the loop's own commit step, which rebuilds the centroid rows.
+  through the loop's own commit, which rebuilds the members and the
+  centroid rows bitwise.
+
+:func:`merge_to_t_closeness` keeps the loop itself — checkpoint ticks,
+the decision log and the ``merge.step`` fault point — and runs each merge
+one of two ways:
+
+* **the compiled step** (:class:`_CompiledMerges`) when the
+  :mod:`repro.backend._native` library loaded, the policy is
+  ``nearest-qi`` and every confidential attribute has an integer frame
+  (distinct mode): Algorithm 1, Algorithm 2's merge fallback, repair's
+  ``repair:merge`` and SABRE.  One call per merge (``repro_merge_step``)
+  pops the worst cluster from an exact indexed heap, applies the stop
+  test in 128-bit integers, scans the centroid columns for the partner in
+  the canonical distance order, splices the partner's member list after
+  the worst's and re-scores the survivor from its sorted member bins
+  with the refinement kernel's integer helpers.  The state is plain
+  arrays (:class:`~repro.backend.kernels.MergeState`), and the load-time
+  self-check holds the step to a brute-force loop on a tie-heavy table;
+* **the spec** (:class:`_SpecMerges`), the loop in Python, for
+  everything else (``REPRO_NO_NATIVE=1``, rank mode, ``lowest-emd`` and
+  ``random``): the ratios in a lazy-deletion heap, the partner search on
+  a :class:`~repro.microagg.engine.ClusteringEngine` over the centroids
+  (its compiled distance scan and k-nearest selection, with O(d)
+  in-place centroid updates), and a merged cluster's numerator per
+  ordered attribute from one sort of its member bins
+  (:meth:`~repro.distance.OrderedEMDFrame.sorted_numerator`).  The
+  ``lowest-emd`` policy scores a round's candidate merges with
+  :meth:`~repro.core.confidential.ConfidentialModel.emd_ratios`, a few
+  calls of at most :data:`LOWEST_EMD_BATCH` member ids each.
+
+Both make every decision alike, bit for bit, so labels, EMDs, merge
+counts and checkpoints do not depend on the path, and a checkpoint
+written on one resumes on the other.
 """
 
 from __future__ import annotations
 
+import ctypes
 import heapq
 from typing import Callable
 
 import numpy as np
 
-from ..backend import SerialBackend, accepts_backend as _accepts_backend, resolve_backend
+from ..backend import SerialBackend, _native, accepts_backend as _accepts_backend, resolve_backend
+from ..backend.kernels import build_merge_state
 from ..data.dataset import Microdata
 from ..distance.records import encode_mixed
 from ..microagg.engine import ClusteringEngine
@@ -68,7 +88,7 @@ from ..microagg.partition import Partition
 from ..registry import PARTITIONERS, register_method
 from ..runtime.faults import fault_point
 from .base import TClosenessResult
-from .confidential import ConfidentialModel
+from .confidential import ConfidentialModel, check_exact_bound
 
 #: Signature every base partitioner must satisfy: (QI matrix, k) -> Partition.
 Partitioner = Callable[[np.ndarray, int], Partition]
@@ -96,17 +116,15 @@ class _Exact:
 
 
 def _nearest_partner(cengine: ClusteringEngine, worst: int) -> int:
-    """Live cluster nearest to ``worst``'s centroid, lowest id on exact ties.
+    """The live cluster other than ``worst`` nearest its centroid.
 
-    Evaluates squared centroid distances through the engine's shared
-    buffer (the canonical kernel), masks dead clusters and ``worst``
-    itself, and takes the argmin; window positions ascend with cluster
-    id, so the first minimum is the lowest id.
+    The smallest (squared centroid distance, id), a NaN distance after
+    every number: the engine's two nearest live clusters by that rule
+    (:meth:`~ClusteringEngine.k_nearest`, which reads the engine's
+    liveness and the canonical distances), less ``worst`` itself.
     """
-    cengine.eval_distances(cengine.row(worst))
-    buf = cengine.masked_distances(np.inf)
-    buf[cengine.positions_of(worst)] = np.inf
-    return int(cengine.ids_at(np.argmin(buf)))
+    first, second = cengine.k_nearest(2, cengine.row(worst)).tolist()
+    return second if first == worst else first
 
 
 #: The most member ids the ``lowest-emd`` policy scores in one
@@ -158,6 +176,210 @@ def _centroid_matrix(qi_matrix: np.ndarray, partition: Partition) -> np.ndarray:
     return out
 
 
+class _SpecMerges:
+    """The merge loop's merges in Python: the spec of the compiled step.
+
+    Members are arrays per cluster, the ratios sit in a lazy-deletion heap
+    of ``(-float, exact, id)`` keys, and the ``nearest-qi`` partner search
+    runs on a :class:`~repro.microagg.engine.ClusteringEngine` over the
+    centroids, built on the first commit.  :meth:`commit` serves the loop
+    and a resume's replay; :meth:`start` scores the live clusters once the
+    replay is done.
+    """
+
+    def __init__(
+        self, partition, model, qi_matrix, policy, rng, backend, t_ratio
+    ) -> None:
+        self._partition = partition
+        self._model = model
+        self._qi_matrix = qi_matrix
+        self._policy = policy
+        self._rng = rng
+        self._backend = backend
+        self._t_num, self._t_den = t_ratio
+        self._members: list[np.ndarray | None] = list(partition.clusters())
+        self._cengine: ClusteringEngine | None = None
+
+    def _partner_engine(self) -> ClusteringEngine:
+        if self._cengine is None:
+            # No merge has happened yet, so every initial cluster is
+            # intact and its centroid is its partition cluster's mean.
+            self._cengine = ClusteringEngine(
+                _centroid_matrix(self._qi_matrix, self._partition),
+                backend=self._backend,
+            )
+        return self._cengine
+
+    def commit(self, worst: int, partner: int) -> None:
+        """Merge ``partner`` into ``worst``, in the loop and on replay.
+
+        The survivor's centroid row is the size-weighted mean of the two
+        rows, so it depends on the merge path; replaying the same commits
+        rebuilds it bitwise.
+        """
+        members = self._members
+        if self._policy == "nearest-qi":
+            engine = self._partner_engine()
+            size_w, size_b = len(members[worst]), len(members[partner])
+            engine.replace_row(
+                worst,
+                (size_w * engine.row(worst) + size_b * engine.row(partner))
+                / (size_w + size_b),
+            )
+            engine.kill_one(partner)
+        members[worst] = np.concatenate([members[worst], members[partner]])
+        members[partner] = None
+
+    def _entry(self, g: int) -> tuple:
+        num, den = self._ratios[g]
+        return (-(num / den), _Exact(-num, den), g)
+
+    def start(self) -> None:
+        """Score the live clusters and heap them: the largest EMD pops
+        first, exact ties the lowest cluster id.  ``live[g]`` is cluster
+        g's current entry (None once absorbed); any other entry for g is
+        stale and skipped."""
+        members = self._members
+        fresh = iter(self._model.emd_ratios([m for m in members if m is not None]))
+        self._ratios = [None if m is None else next(fresh) for m in members]
+        self._live = [None if m is None else self._entry(g) for g, m in enumerate(members)]
+        self._heap = [e for e in self._live if e is not None]
+        heapq.heapify(self._heap)
+
+    def step(self) -> tuple[int, int] | None:
+        """One merge: ``(worst, partner)``, or None once the worst
+        cluster is within t."""
+        heap, live, members = self._heap, self._live, self._members
+        while heap[0] is not live[heap[0][2]]:
+            heapq.heappop(heap)
+        worst = heap[0][2]
+        num, den = self._ratios[worst]
+        if num * self._t_den <= self._t_num * den:
+            return None
+        if self._policy == "nearest-qi":
+            partner = _nearest_partner(self._partner_engine(), worst)
+        else:
+            candidates = [
+                g for g, m in enumerate(members) if m is not None and g != worst
+            ]
+            if self._policy == "lowest-emd":
+                partner = _lowest_emd_partner(self._model, members, worst, candidates)
+            else:  # random
+                partner = int(self._rng.choice(candidates))
+        self.commit(worst, partner)
+        self._ratios[worst] = self._model.emd_ratio(members[worst])
+        live[worst] = self._entry(worst)
+        heapq.heapreplace(heap, live[worst])  # the top is worst's old entry
+        self._ratios[partner] = live[partner] = None
+        return worst, partner
+
+    def result(self) -> tuple[Partition, np.ndarray]:
+        """The final partition and each final cluster's EMD."""
+        members = self._members
+        survivors = [g for g, m in enumerate(members) if m is not None]
+        final = Partition.from_clusters(
+            [members[g] for g in survivors], self._partition.n_records
+        )
+        # Partition relabels clusters by first appearance in record order;
+        # any member's label is its cluster's final id.
+        emds = np.empty(len(survivors))
+        emds[final.labels[[members[g][0] for g in survivors]]] = [
+            self._ratios[g][0] / self._ratios[g][1] for g in survivors
+        ]
+        return final, emds
+
+
+class _CompiledMerges:
+    """The ``nearest-qi`` merges through the compiled step.
+
+    The clusters live in a :class:`~repro.backend.kernels.MergeState`
+    bound once to :mod:`repro.backend._native`'s ``repro_merge_*`` entry
+    points: initial ratios from
+    :meth:`~repro.core.confidential.ConfidentialModel.emd_ratios`, member
+    lists linked through the records, the exact heap, and the centroid
+    columns once a first merge is due.  :meth:`step` is one call per
+    merge and :meth:`commit` (a resume's replay) the step's own commit;
+    both decide as :class:`_SpecMerges` does, bit for bit.
+    """
+
+    def __init__(self, native, partition, model, qi_matrix, t_ratio) -> None:
+        self._native = native
+        self._partition = partition
+        self._qi_matrix = qi_matrix
+        members = list(partition.clusters())
+        self._state = build_merge_state(
+            partition.sizes(),
+            np.concatenate(members).astype(np.int64, copy=False),
+            model.emd_ratios(members),
+            qi_matrix.shape[1],
+        )
+        self._model = model  # owns the frames and the view the handle reads
+        self._handle = _native.merge_handle(
+            self._state, *model.kernel_view(), *t_ratio
+        )
+        self._addr = ctypes.addressof(self._handle)
+        native.merge_heapify(self._addr)
+
+    def _bind_centroids(self) -> None:
+        state = self._state
+        state.cols = np.ascontiguousarray(
+            _centroid_matrix(self._qi_matrix, self._partition).T
+        )
+        _native.bind_columns(self._handle, state.cols)
+
+    def _fail(self, status: int, worst: int, partner: int):
+        if status == _native.MERGE_PAST_BOUND:
+            size, n = int(self._state.size[worst]), self._partition.n_records
+            for m in self._model.kernel_view()[0][:, 1].tolist():  # (kind, m, w, T)
+                check_exact_bound(size, n, m)
+        raise ValueError(
+            f"cannot merge cluster {partner} into cluster {worst} "
+            f"(merge step status {status})"
+        )
+
+    def commit(self, worst: int, partner: int) -> None:
+        """Merge ``partner`` into ``worst`` as the step does."""
+        status = self._native.merge_commit(self._addr, worst, partner)
+        if status == _native.MERGE_NO_CENTROIDS:
+            self._bind_centroids()
+            status = self._native.merge_commit(self._addr, worst, partner)
+        if status != _native.MERGED:
+            self._fail(status, worst, partner)
+
+    def start(self) -> None:
+        """Nothing to do: the heap and the ratios are kept exact through
+        every commit."""
+
+    def step(self) -> tuple[int, int] | None:
+        """One merge: ``(worst, partner)``, or None once the worst
+        cluster is within t."""
+        status = self._native.merge_step(self._addr)
+        if status == _native.MERGE_NO_CENTROIDS:
+            self._bind_centroids()
+            status = self._native.merge_step(self._addr)
+        if status == _native.MERGED:
+            worst, partner = self._state.pair.tolist()
+            return worst, partner
+        if status == _native.MERGE_STOP:
+            return None
+        self._fail(status, *self._state.pair.tolist())
+
+    def result(self) -> tuple[Partition, np.ndarray]:
+        """The final partition and each final cluster's EMD."""
+        state = self._state
+        labels = np.empty(self._partition.n_records, dtype=np.int64)
+        if self._native.merge_labels(self._handle, labels) != labels.size:
+            raise RuntimeError("merge state lost track of its members")
+        final = Partition(labels)
+        survivors = np.flatnonzero(state.alive)
+        emds = np.empty(survivors.size)
+        # Python-int true division: each EMD correctly rounded.
+        emds[final.labels[state.head[survivors]]] = [
+            num / den for num, den in state.ratio[survivors].tolist()
+        ]
+        return final, emds
+
+
 def merge_to_t_closeness(
     data: Microdata,
     partition: Partition,
@@ -179,7 +401,8 @@ def merge_to_t_closeness(
     by ``partner_policy``:
 
     * ``"nearest-qi"`` (the paper's quality criterion): the cluster whose
-      quasi-identifier centroid is nearest;
+      quasi-identifier centroid is nearest, lowest cluster id on exact
+      ties, a NaN distance after every number;
     * ``"lowest-emd"``: the cluster whose merge yields the smallest merged
       EMD (greedy on the privacy objective, blind to utility; lowest
       cluster id on exact ties);
@@ -210,20 +433,22 @@ def merge_to_t_closeness(
     seed:
         RNG seed for the ``"random"`` policy.
     backend:
-        Compute backend for the centroid engine's partner scans
-        (``"serial"``, an instance, or ``None`` for the shared one).
+        Compute backend for the spec's centroid engine (``"serial"``, an
+        instance, or ``None`` for the shared one); resolved eagerly, so an
+        unknown name fails here.  The compiled step, like the live index,
+        consults no backend: it scans the centroids itself.
     progress:
         Optional :class:`~repro.runtime.FitProgress`.  The loop then
         snapshots its decisions — the (worst, partner) pairs merged so
         far, in order, and the RNG state — every ``every_merges`` merges
         under ``stage``, and a later call with the same progress store
         resumes from the last snapshot.  It replays those merges through
-        the live loop's own commit step, which rebuilds the member lists
-        and the path-dependent centroid rows bitwise; the EMD keys are
-        recomputed from the members and the heap rebuilt from the live
-        clusters, whose pop order depends only on the live (key, id) set,
-        so the remaining merges run **bit-for-bit** as uninterrupted.
-        The ``merge.step`` fault point fires after each committed merge.
+        the loop's own commit, which rebuilds the member lists and the
+        path-dependent centroid rows bitwise; the EMD keys are exact
+        functions of the members, and the worst cluster depends only on
+        the live (key, id) set, so the remaining merges run
+        **bit-for-bit** as uninterrupted.  The ``merge.step`` fault point
+        fires after each committed merge.
     stage:
         Progress namespace; callers use ``"alg1:merge"``,
         ``"alg2:merge"`` or ``"repair:merge"`` so each pipeline position
@@ -245,75 +470,38 @@ def merge_to_t_closeness(
     backend = resolve_backend(backend)  # eager: unknown names fail here
     if model is None:
         model = ConfidentialModel(data, emd_mode=emd_mode)
+    if partition.n_records != model.n_records:
+        raise ValueError(
+            f"the partition covers {partition.n_records} records, the "
+            f"confidential model {model.n_records}"
+        )
     if qi_matrix is None:
         qi_matrix = encode_mixed(data, data.quasi_identifiers)
     rng = np.random.default_rng(seed)
     # EMD <= 1 always, so t clamps at 1 and every cluster passes t = inf.
-    t_num, t_den = min(t, 1.0).as_integer_ratio()  # exact, like Fraction(t)
+    t_ratio = min(t, 1.0).as_integer_ratio()  # exact, like Fraction(t)
 
-    members: list[np.ndarray | None] = list(partition.clusters())
-    # Partner search: a ClusteringEngine over the cluster-centroid matrix,
-    # built lazily on the first merge (the loose-t common case never pays
-    # for it).  Merges update it in place: the survivor's centroid row is
-    # replaced (O(d)), the absorbed cluster is killed and masked out.
-    cengine: ClusteringEngine | None = None
+    native = None
+    if partner_policy == "nearest-qi" and model.supports_trackers:
+        native = _native.load()
+    if native is not None:
+        merges = _CompiledMerges(native, partition, model, qi_matrix, t_ratio)
+    else:
+        merges = _SpecMerges(
+            partition, model, qi_matrix, partner_policy, rng, backend, t_ratio
+        )
     # The (worst, partner) decisions in order.  With the RNG state they are
     # all a checkpoint holds: everything else is a function of them.
     log: list[tuple[int, int]] = []
-
-    def partner_engine() -> ClusteringEngine:
-        nonlocal cengine
-        if cengine is None:
-            # No merge has happened yet, so every initial cluster is
-            # intact and its centroid is its partition cluster's mean.
-            cengine = ClusteringEngine(
-                _centroid_matrix(qi_matrix, partition), backend=backend
-            )
-        return cengine
-
-    def commit(worst: int, partner: int) -> None:
-        """Merge ``partner`` into ``worst``, in the live loop and on replay.
-
-        The survivor's centroid row is the size-weighted mean of the two
-        rows, so it depends on the merge path; replaying the same commits
-        rebuilds it bitwise.
-        """
-        if partner_policy == "nearest-qi":
-            engine = partner_engine()
-            size_w, size_b = len(members[worst]), len(members[partner])
-            engine.replace_row(
-                worst,
-                (size_w * engine.row(worst) + size_b * engine.row(partner))
-                / (size_w + size_b),
-            )
-            engine.kill_one(partner)
-        members[worst] = np.concatenate([members[worst], members[partner]])
-        members[partner] = None
-        log.append((worst, partner))
-
     saved = progress.load(stage) if progress is not None else None
     if saved is not None:
         # Resume mid-loop by replaying the recorded merges; the RNG
         # continues from its serialized bit-generator state.
         for worst, partner in saved["log"].tolist():
-            commit(worst, partner)
+            merges.commit(worst, partner)
+            log.append((worst, partner))
         rng.bit_generator.state = saved["meta"]["rng"]
-    n_groups = len(members)
-    n_alive = sum(m is not None for m in members)
-    fresh = iter(model.emd_ratios([m for m in members if m is not None]))
-    ratios = [None if m is None else next(fresh) for m in members]
-
-    # Worst-cluster selection: lazy-deletion heap of (-float, exact, id)
-    # keys, so the largest EMD pops first and exact ties pop the lowest
-    # cluster id.  ``live[g]`` is cluster g's current entry (None once
-    # absorbed); any other entry for g is stale and skipped.
-    def entry(g: int) -> tuple:
-        num, den = ratios[g]
-        return (-(num / den), _Exact(-num, den), g)
-
-    live = [None if m is None else entry(g) for g, m in enumerate(members)]
-    heap = [e for e in live if e is not None]
-    heapq.heapify(heap)
+    merges.start()
 
     def snapshot_state() -> dict:
         return {
@@ -321,41 +509,18 @@ def merge_to_t_closeness(
             "meta": {"rng": rng.bit_generator.state},
         }
 
+    n_alive = partition.n_clusters - len(log)
     while n_alive > 1:
         if progress is not None:
             progress.tick(stage, len(log), snapshot_state)
-        while heap[0] is not live[heap[0][2]]:
-            heapq.heappop(heap)
-        worst = heap[0][2]
-        num, den = ratios[worst]
-        if num * t_den <= t_num * den:
+        pair = merges.step()
+        if pair is None:
             break
-        if partner_policy == "nearest-qi":
-            best_g = _nearest_partner(partner_engine(), worst)
-        else:
-            candidates = [
-                g for g in range(n_groups) if members[g] is not None and g != worst
-            ]
-            if partner_policy == "lowest-emd":
-                best_g = _lowest_emd_partner(model, members, worst, candidates)
-            else:  # random
-                best_g = int(rng.choice(candidates))
-        commit(worst, best_g)
-        ratios[worst] = model.emd_ratio(members[worst])
-        live[worst] = entry(worst)
-        heapq.heapreplace(heap, live[worst])  # the top is worst's old entry
-        ratios[best_g] = live[best_g] = None
+        log.append(pair)
         n_alive -= 1
         fault_point("merge.step")
 
-    survivors = [g for g, m in enumerate(members) if m is not None]
-    final = Partition.from_clusters([members[g] for g in survivors], data.n_records)
-    # Partition relabels clusters by first appearance in record order;
-    # any member's label is its cluster's final id.
-    final_emds = np.empty(len(survivors))
-    final_emds[final.labels[[members[g][0] for g in survivors]]] = [
-        ratios[g][0] / ratios[g][1] for g in survivors
-    ]
+    final, final_emds = merges.result()
     return final, final_emds, len(log)
 
 

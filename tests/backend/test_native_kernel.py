@@ -20,7 +20,9 @@ the live records' canonical distances through kills that empty leaves
 and shrink boxes, at every forced depth, with counts and boxes exact
 after every kill, squares overflowing to inf and NaN points declined; a
 binding that breaks ties upward is rejected at load and fits fall back
-to the scan engine.
+to the scan engine.  And for the merge step: its exact stop test, its
+statuses, and a library whose heap breaks exact ratio ties upward,
+rejected at load so that fits take the merge's spec.
 
 When the host has no usable compiler the fast-path tests skip (the
 fallback behaviour and index-build tests still run): the library must
@@ -35,7 +37,9 @@ import numpy as np
 import pytest
 
 from repro.backend import SerialBackend, _native, kernels
-from repro.core.confidential import SwapFrame
+from repro.core.confidential import SwapFrame, kernel_view
+from repro.core.merge import microaggregation_merge
+from repro.data import load_mcd
 from repro.distance.emd import OrderedEMDFrame
 from repro.microagg import ClusteringEngine, mdav
 from repro.microagg.engine import live_set
@@ -857,3 +861,108 @@ def test_a_live_binding_breaking_ties_upward_is_rejected(monkeypatch):
     monkeypatch.setenv("REPRO_NO_NATIVE", "1")
     monkeypatch.setattr(_native, "_cached", _native._UNSET)
     np.testing.assert_array_equal(rejected.labels, mdav(X, 3).labels)
+
+
+class BoundMerge:
+    """A merge state over one-record clusters with chosen initial ratios,
+    ``d`` zero centroid columns and one ordered frame, bound to the step
+    at ``t``."""
+
+    def __init__(self, ratios, t, d=0):
+        G = len(ratios)
+        self.frame = OrderedEMDFrame(np.arange(G) % 3, 3)
+        self.layout, self.tables = kernel_view([self.frame], [0])
+        self.state = kernels.build_merge_state(np.ones(G), np.arange(G), ratios, d)
+        self.handle = _native.merge_handle(
+            self.state, self.layout, self.tables, *min(t, 1.0).as_integer_ratio()
+        )
+        self.addr = ctypes.addressof(self.handle)
+        self.native = _native.load()
+        self.native.merge_heapify(self.addr)
+
+    def step(self):
+        return self.native.merge_step(self.addr)
+
+    def commit(self, worst, partner):
+        return self.native.merge_commit(self.addr, worst, partner)
+
+
+@native_only
+class TestMergeStep:
+    """The compiled merge step's decisions and statuses, beside the
+    brute-force loop of the load-time self-check and the reference of
+    ``tests/microagg/test_merge_reference.py``."""
+
+    T_NUM = (0.1).as_integer_ratio()[0]
+
+    @pytest.mark.parametrize(
+        "ratio, t, stops",
+        [
+            ((1, 10), 0.1, True),  # 1/10 < the float 0.1
+            ((T_NUM, 2**55), 0.1, True),  # exactly the float 0.1
+            ((T_NUM + 1, 2**55), 0.1, False),
+            ((1, 2**62), 1e-300, False),  # 2^-62 > 1e-300, t_exp > 128
+            ((0, 1), 1e-300, True),
+            ((0, 1), 0.0, True),
+            ((1, 2**62), 0.0, False),
+            ((2**62, 2**62), 1.0, True),
+            ((2**62, 2**62), float("inf"), True),
+        ],
+    )
+    def test_the_stop_test_is_exact(self, ratio, t, stops):
+        bound = BoundMerge([ratio, (0, 1)], t)
+        assert bound.step() == (_native.MERGE_STOP if stops else _native.MERGED)
+
+    def test_centroids_are_bound_only_once_a_merge_is_due(self):
+        bound = BoundMerge([(0, 1), (1, 2), (1, 2)], 0.0, d=2)
+        heap = bound.state.heap.copy()
+        assert bound.step() == _native.MERGE_NO_CENTROIDS
+        np.testing.assert_array_equal(bound.state.heap, heap)
+        assert bound.state.alive.all() and bound.handle.n_heap == 3
+        bound.state.cols = np.zeros((2, 3))
+        _native.bind_columns(bound.handle, bound.state.cols)
+        # Ratio ties pop the lower id; distance ties pick the lower id.
+        assert bound.step() == _native.MERGED
+        assert bound.state.pair.tolist() == [1, 0]
+
+    def test_commit_takes_only_two_distinct_live_clusters(self):
+        bound = BoundMerge([(1, 2), (1, 3), (1, 4)], 0.0)
+        for worst, partner in ((0, 0), (0, 3), (-1, 1), (3, 0)):
+            assert bound.commit(worst, partner) == _native.MERGE_BAD_PAIR
+        assert bound.commit(2, 0) == _native.MERGED
+        assert bound.commit(1, 0) == _native.MERGE_BAD_PAIR
+        assert bound.state.alive.tolist() == [0, 1, 1]
+
+    def test_a_merged_cluster_past_the_exactness_bound_is_refused(self):
+        bound = BoundMerge([(1, 2), (1, 3)], 0.0)
+        bound.layout[0, 1] = 2**62  # c*n*m = 2*2*2**62 reaches 2**63
+        assert bound.step() == _native.MERGE_PAST_BOUND
+
+
+@native_only
+def test_a_merge_heap_breaking_ratio_ties_upward_is_rejected(monkeypatch):
+    # A library whose heap pops the higher id first among exact ratio ties
+    # fails the merge step's self-check, after every other entry point
+    # passed: load() returns None, and the fit takes the spec, with the
+    # compiled step's labels.
+    data = load_mcd(n=200)
+    want = microaggregation_merge(data, 4, 0.1)
+    rule = "return x > y || (x == y && a < b);"
+    assert _native._SOURCE.count(rule) == 1
+    upward = _native._SOURCE.replace(rule, "return x > y || (x == y && a > b);")
+    checks = []
+    check_merge = _native._check_merge
+
+    def spy(native):
+        checks.append(check_merge(native))
+        return checks[-1]
+
+    monkeypatch.setattr(_native, "_SOURCE", upward)
+    monkeypatch.setattr(_native, "_check_merge", spy)
+    monkeypatch.setattr(_native, "_cached", _native._UNSET)
+    assert _native.load() is None
+    assert checks == [False]
+    got = microaggregation_merge(data, 4, 0.1)
+    np.testing.assert_array_equal(got.partition.labels, want.partition.labels)
+    assert got.cluster_emds.tobytes() == want.cluster_emds.tobytes()
+    assert got.info == want.info

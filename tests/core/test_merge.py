@@ -122,6 +122,15 @@ class TestMergePhaseAlone:
         with pytest.raises(ValueError, match="t must be"):
             merge_to_t_closeness(data, Partition.single_cluster(10), -0.5)
 
+    @pytest.mark.parametrize("n_records", [8, 12])
+    def test_partition_of_another_table_rejected(self, n_records):
+        # The compiled step reads the frames by record id, so a partition
+        # that does not cover exactly the model's records is refused
+        # before any pointer is passed.
+        data = random_dataset(10, 5)
+        with pytest.raises(ValueError, match="covers"):
+            merge_to_t_closeness(data, Partition.single_cluster(n_records), 0.1)
+
     def test_single_cluster_input_is_fixed_point(self):
         data = random_dataset(12, 6)
         partition = Partition.single_cluster(12)

@@ -10,7 +10,8 @@ centroid by gather-and-mean, takes extremes by ``argmax``/``argmin``
 order.  The library must reproduce them on every golden matrix, through
 the compiled scans and through the numpy specs, and Algorithm 1 (the
 reference MDAV, then ``test_merge_reference.reference_merge``) must
-reproduce the ``alg1`` entries of the end-to-end fixture.  This reference
+reproduce the ``alg1`` entries of the end-to-end fixture, with its merges
+on the compiled step and on the Python spec.  This reference
 is what the golden entries moved by the lowest-id rule were written from
 (``scripts/generate_engine_golden.py`` lists them).
 
@@ -50,7 +51,7 @@ from .golden_datasets import (
     matrix_case,
 )
 from .test_alg2_reference import _columns, _dense_emd, deepest_depth
-from .test_merge_reference import reference_merge
+from .test_merge_reference import merge_path, reference_merge
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -191,12 +192,16 @@ def test_alg1_equals_reference(golden_e2e, case, monkeypatch):
     assert [Fraction(e) for e in result.cluster_emds] == [
         Fraction(float(e)) for e in emds
     ]
-    # The same fit with MDAV on a live index of one- or two-record leaves.
+    # The same fit on the Python specs (the merge loop's and MDAV's), and
+    # with MDAV on a live index of one- or two-record leaves.
+    with merge_path("spec"):
+        spec = microaggregation_merge(data, k, t)
     monkeypatch.setattr(engine, "split_depth", deepest_depth)
     deep = microaggregation_merge(data, k, t)
-    np.testing.assert_array_equal(deep.partition.labels, labels)
-    assert deep.info == result.info
-    np.testing.assert_array_equal(deep.cluster_emds, result.cluster_emds)
+    for other in (spec, deep):
+        np.testing.assert_array_equal(other.partition.labels, labels)
+        assert other.info == result.info
+        assert other.cluster_emds.tobytes() == result.cluster_emds.tobytes()
 
 
 def test_random_tie_heavy_tables_equal_reference(path):

@@ -6,8 +6,10 @@ a checkpoint's temp write and its rename — and then resumed produces
 labels, EMDs and counters **bit-for-bit identical** to an uninterrupted
 run.  The matrix kills fits at every planted fault point across the
 algorithm paths (Algorithm 2 / kanon-first, Algorithm 3 / tclose-first,
-Algorithm 1 / merge, and the policy-repair merge loop), fits killed on a
-worker thread, plus honest ``os._exit`` process kills through the CLI.
+Algorithm 1 / merge, and the policy-repair merge loop), the merge loop on
+its compiled step and on its Python spec (killed on one, resumed on
+either), fits killed on a worker thread, plus honest ``os._exit`` process
+kills through the CLI.
 """
 
 import os
@@ -22,6 +24,7 @@ import pytest
 from repro import Anonymizer, DistinctLDiversity, KAnonymity, TCloseness
 from repro.core.confidential import UNLIMITED, ConfidentialModel
 from repro.core.kanon_first import kanonymity_first
+from repro.core.merge import _CompiledMerges
 from repro.core.repair import enforce_policy
 from repro.data import load_mcd, write_csv
 from repro.microagg.engine import ClusteringEngine
@@ -34,6 +37,7 @@ from repro.runtime import (
 from repro.runtime.faults import EXIT_CODE, InjectedFault
 
 from ..contexts import run_serial, run_threaded
+from ..microagg.test_merge_reference import PATHS, merge_path
 
 #: Tight cadences so even a 200-record fit crosses many checkpoints.
 CADENCE = dict(checkpoint_every_swaps=40, checkpoint_every_merges=2)
@@ -203,40 +207,92 @@ class TestKanonFirstBetweenClusters:
 
 class TestMergeCentroidReplay:
     """A resumed merge loop rebuilds the merged clusters' centroid rows
-    bitwise: from the kill on, it makes the uninterrupted fit's
-    ``replace_row`` calls, row bytes included.  Labels alone miss a
-    replay that rebuilds centroids any other way."""
+    bitwise: from the kill on, it makes the uninterrupted fit's row
+    updates, row bytes included.  Labels alone miss a replay that rebuilds
+    centroids any other way.  On the spec the updates are the partner
+    engine's ``replace_row`` calls; on the compiled step, the survivor's
+    centroid column after each step and each replayed commit."""
 
     def test_replace_row_calls_continue_bitwise(self, tmp_path, monkeypatch):
         data = load_mcd(n=300)
         policy = KAnonymity(3) & TCloseness(0.05)
         calls = []
         replace_row = ClusteringEngine.replace_row
+        step, commit = _CompiledMerges.step, _CompiledMerges.commit
 
         def recording(engine, record_id, row):
             calls.append((int(record_id), np.asarray(row, dtype=np.float64).tobytes()))
             replace_row(engine, record_id, row)
 
+        def survivor_row(merges, worst):
+            calls.append((worst, merges._state.cols[:, worst].tobytes()))
+
+        def recording_step(merges):
+            pair = step(merges)
+            if pair is not None:
+                survivor_row(merges, pair[0])
+            return pair
+
+        def recording_commit(merges, worst, partner):
+            commit(merges, worst, partner)
+            survivor_row(merges, worst)
+
         monkeypatch.setattr(ClusteringEngine, "replace_row", recording)
-        golden = Anonymizer(policy, method="merge").fit(data)
-        expected = list(calls)
-        n_merges = golden.result_.info["n_merges"]
-        assert len(expected) == n_merges > 6
-        for n in np.linspace(1, n_merges, 6).astype(int):
-            ck = tmp_path / f"ck{n}"
+        monkeypatch.setattr(_CompiledMerges, "step", recording_step)
+        monkeypatch.setattr(_CompiledMerges, "commit", recording_commit)
+        # Both paths, in a loop rather than a fixture, so the test id
+        # predates the compiled step.
+        for path in PATHS:
+            with merge_path(path):
+                calls.clear()
+                golden = Anonymizer(policy, method="merge").fit(data)
+                expected = list(calls)
+                n_merges = golden.result_.info["n_merges"]
+                assert len(expected) == n_merges > 6
+                for n in np.linspace(1, n_merges, 6).astype(int):
+                    ck = tmp_path / f"{path}-ck{n}"
+                    faults.arm_from_spec(f"merge.step@{n}")
+                    with pytest.raises(InjectedFault):
+                        try:
+                            Anonymizer(policy, method="merge").fit(
+                                data, checkpoint=ck, **CADENCE
+                            )
+                        finally:
+                            faults.clear()
+                    calls.clear()
+                    resumed = Anonymizer.resume(ck, **CADENCE)
+                    assert_bitwise_equal(resumed, golden)
+                    tail = expected[n - 1 :]
+                    assert calls[len(calls) - len(tail) :] == tail, (
+                        f"{path}: killed at merge {n}"
+                    )
+
+
+class TestMergeStepOnBothPaths:
+    """``merge.step`` kills at several merges, each fit killed on one path
+    (the compiled step or the Python spec) and resumed on one: the
+    checkpoint holds decisions only, so every pairing, across paths
+    included, resumes bit for bit into the uninterrupted fit."""
+
+    @pytest.mark.parametrize("n", [1, 4, 25])
+    @pytest.mark.parametrize(
+        "killed_on, resumed_on",
+        [("kernel", "kernel"), ("spec", "spec"), ("kernel", "spec"), ("spec", "kernel")],
+    )
+    def test_kill_and_resume(self, mcd_small, goldens, tmp_path, killed_on, resumed_on, n):
+        golden = goldens["merge"]
+        ck = tmp_path / "ck"
+        with merge_path(killed_on):
             faults.arm_from_spec(f"merge.step@{n}")
             with pytest.raises(InjectedFault):
                 try:
-                    Anonymizer(policy, method="merge").fit(
-                        data, checkpoint=ck, **CADENCE
+                    Anonymizer(golden.policy, method="merge").fit(
+                        mcd_small, checkpoint=ck, **CADENCE
                     )
                 finally:
                     faults.clear()
-            calls.clear()
-            resumed = Anonymizer.resume(ck, **CADENCE)
-            assert_bitwise_equal(resumed, golden)
-            tail = expected[n - 1 :]
-            assert calls[len(calls) - len(tail) :] == tail, f"killed at merge {n}"
+        with merge_path(resumed_on):
+            assert_bitwise_equal(Anonymizer.resume(ck), golden)
 
 
 class TestTcloseFirstMatrix:
